@@ -21,7 +21,6 @@ from .tableaux import (
     is_standard,
     is_torus_invariant,
     make_tableau,
-    tableau_weight,
 )
 from .plucker import (
     PluckerPolynomial,

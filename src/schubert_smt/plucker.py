@@ -414,6 +414,7 @@ def _straighten_component(
     comp: PluckerPolynomial, cont: tuple[int, ...], bound: IndexTuple | None, seed
 ) -> PluckerPolynomial:
     r, n, degree = comp.r, comp.n, comp.degree
+    failures = []
     for attempt in range(MAX_RESEEDINGS + 1):
         tag = f"{seed}:cell:{attempt}"
         cell = _interpolation_cell(r, n, degree, cont, bound, tag)
@@ -425,9 +426,11 @@ def _straighten_component(
                 )
             return PluckerPolynomial.zero(r, n)
         if cell.solver is None:
+            failures.append(f"attempt {attempt}: sample matrix rank-deficient")
             continue
         coeffs = cell.solver.solve(rhs)
         if coeffs is None:
+            failures.append(f"attempt {attempt}: system inconsistent")
             continue
         if any(c.denominator != 1 for c in coeffs):
             raise StraighteningError("non-integral straightening coefficients; bug")
@@ -439,9 +442,11 @@ def _straighten_component(
         )
         if all(evaluate(g, m) == evaluate(comp, m) for m in holdout):
             return g
+        failures.append(f"attempt {attempt}: holdout check failed")
     raise RankDeficientError(
         f"interpolation failed after {MAX_RESEEDINGS} re-seedings in the "
-        f"(degree={degree}, content={cont}) cell"
+        f"(degree={degree}, content={cont}) cell; basis size B={len(cell.basis)}, "
+        f"{len(cell.points)} sample points; " + "; ".join(failures)
     )
 
 

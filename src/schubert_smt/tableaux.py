@@ -9,7 +9,7 @@ usual strict-rows / weak-columns filling condition.
 
 from dataclasses import dataclass
 
-from .lattice import IndexTuple, WeightVector, leq_componentwise
+from .lattice import IndexTuple, leq_componentwise
 
 
 @dataclass(frozen=True)
@@ -79,11 +79,6 @@ def is_torus_invariant(t: Tableau) -> bool:
     return c[0] >= 1 and all(x == c[0] for x in c)
 
 
-def tableau_weight(t: Tableau) -> WeightVector:
-    """The torus character of the associated monomial: the content vector."""
-    return content(t)
-
-
 def enumerate_standard(
     shape_rows: int,
     r: int,
@@ -96,8 +91,13 @@ def enumerate_standard(
     Optionally bounded above by `bound` and/or constrained to an exact
     content vector.  Output is in lexicographic order on the flattened
     row sequence, which downstream code uses as the canonical basis
-    order.  Backtracks row by row in chain order, pruning on remaining
-    per-value capacity.
+    order.  Backtracks row by row in chain order.  With a content, a
+    partial chain is cut as soon as the remaining rows cannot absorb the
+    remaining content: each remaining row lies entrywise between the last
+    placed row and the bound, so for every threshold t the remaining
+    boxes holding values <= t number between rows_left * #{i : bound_i <= t}
+    and rows_left * #{i : prev_i <= t}.  The cut removes only branches
+    that cannot complete, so the output and its order are unchanged.
     """
     if shape_rows < 1:
         raise ValueError("need at least one row")
@@ -118,6 +118,7 @@ def enumerate_standard(
             )
 
     bound_vals = bound.values if bound is not None else tuple(range(n - r + 1, n + 1))
+    bound_le = [sum(b <= t for b in bound_vals) for t in range(n + 1)]
     used = [0] * (n + 1)
     results: list[tuple[tuple[int, ...], ...]] = []
     rows_acc: list[tuple[int, ...]] = []
@@ -125,13 +126,19 @@ def enumerate_standard(
     def feasible(prev: tuple[int, ...], rows_left: int) -> bool:
         if target is None:
             return True
-        for v in range(1, n + 1):
-            need = target[v - 1] - used[v]
+        # Each remaining row lies entrywise between prev and the bound, so it
+        # holds between bound_le[t] and prev_le entries <= t; `below` is the
+        # remaining content of the values 1..t.
+        below = 0
+        prev_le = 0
+        for t in range(1, n + 1):
+            need = target[t - 1] - used[t]
             if need > rows_left:
                 return False
-            if need > 0 and not any(
-                prev[i] <= v <= bound_vals[i] for i in range(r)
-            ):
+            below += need
+            while prev_le < r and prev[prev_le] <= t:
+                prev_le += 1
+            if not rows_left * bound_le[t] <= below <= rows_left * prev_le:
                 return False
         return True
 

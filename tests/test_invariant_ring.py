@@ -6,6 +6,7 @@ from math import comb
 import pytest
 
 from schubert_smt import (
+    content,
     distinguished_w,
     generation_degree_probe,
     hilbert_series,
@@ -17,7 +18,6 @@ from schubert_smt import (
     normality_probe,
     semistable_nonempty,
     tableau_monomial,
-    tableau_weight,
     top_element,
 )
 from schubert_smt import build_generators
@@ -51,7 +51,7 @@ class TestInvariantBasis:
             for t in invariant_basis(w, k):
                 assert is_standard(t, w)
                 assert is_torus_invariant(t)
-                assert tableau_weight(t) == (k,) * 6
+                assert content(t) == (k,) * 6
 
     def test_rejects_bad_degree_and_shape(self):
         with pytest.raises(ValueError):

@@ -5,6 +5,7 @@ import pytest
 
 from schubert_smt import (
     PluckerPolynomial,
+    RankDeficientError,
     distinguished_w,
     evaluate,
     make_index_tuple,
@@ -16,6 +17,7 @@ from schubert_smt import (
     straighten,
     two_row_exchange,
 )
+from schubert_smt import plucker
 from schubert_smt.plucker import _minor, monomial_content, rows_are_standard
 
 
@@ -217,6 +219,22 @@ class TestStraighten:
     def test_standard_input_is_fixed(self):
         f = PluckerPolynomial.monomial(((1, 2), (3, 4)), 4, 3)
         assert straighten(f) == f
+
+    def test_rank_deficiency_is_diagnosable(self, monkeypatch):
+        # One sample fewer than the basis size: every attempt is rank-deficient.
+        monkeypatch.setattr(plucker, "EXTRA_SAMPLES", -1)
+        plucker._interpolation_cell.cache_clear()
+        try:
+            with pytest.raises(RankDeficientError) as err:
+                straighten(PluckerPolynomial.monomial(((1, 4), (2, 3)), 4), seed=1)
+        finally:
+            plucker._interpolation_cell.cache_clear()
+        message = str(err.value)
+        assert "(degree=2, content=(1, 1, 1, 1)) cell" in message
+        assert "basis size B=2, 1 sample points" in message
+        for attempt in range(plucker.MAX_RESEEDINGS + 1):
+            assert f"attempt {attempt}: sample matrix rank-deficient" in message
+        assert "inconsistent" not in message and "holdout" not in message
 
     def test_idempotent_term_for_term(self):
         f = PluckerPolynomial.monomial(((1, 4), (2, 3)), 4)

@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from schubert_smt import (
     content,
@@ -11,7 +12,6 @@ from schubert_smt import (
     is_torus_invariant,
     make_index_tuple,
     make_tableau,
-    tableau_weight,
 )
 
 from helpers import brute_force_standard, tab, tableaux_rows
@@ -20,6 +20,31 @@ from helpers import brute_force_standard, tab, tableaux_rows
 X1_N3 = [(1, 3, 5), (2, 4, 6)]
 Y1_N3 = [(1, 2, 3), (1, 4, 5), (2, 4, 6), (3, 5, 6)]
 Y2_N3 = [(1, 2, 4), (1, 3, 5), (2, 3, 6), (4, 5, 6)]
+
+
+@st.composite
+def enumeration_inputs(draw):
+    """(shape_rows, r, n, bound, content) with shape_rows <= 4 and n <= 6.
+
+    The content is absent, the content of a random multiset of rows
+    (so a tableau with it often exists), or a uniform draw of box values
+    (so it is mostly infeasible).
+    """
+    n = draw(st.integers(1, 6))
+    r = draw(st.integers(1, n))
+    shape_rows = draw(st.integers(1, 4))
+    subsets = list(itertools.combinations(range(1, n + 1), r))
+    bound = draw(st.none() | st.sampled_from(subsets))
+    kind = draw(st.sampled_from(["none", "rows", "uniform"]))
+    cont = None
+    if kind != "none":
+        if kind == "rows":
+            rows = [draw(st.sampled_from(subsets)) for _ in range(shape_rows)]
+            values = [v for row in rows for v in row]
+        else:
+            values = [draw(st.integers(1, n)) for _ in range(shape_rows * r)]
+        cont = tuple(values.count(v) for v in range(1, n + 1))
+    return shape_rows, r, n, bound, cont
 
 
 class TestMakeTableau:
@@ -82,8 +107,8 @@ class TestContentAndWeight:
         assert content(tab([(1, 2)], 4)) == (1, 1, 0, 0)
 
     def test_weight_equals_content(self):
-        assert tableau_weight(tab(X1_N3, 6)) == (1, 1, 1, 1, 1, 1)
-        assert tableau_weight(tab([(1, 3)], 4)) == (1, 0, 1, 0)
+        assert content(tab(X1_N3, 6)) == (1, 1, 1, 1, 1, 1)
+        assert content(tab([(1, 3)], 4)) == (1, 0, 1, 0)
 
     def test_weight_additive_under_concatenation(self):
         rng = random.Random(5)
@@ -98,7 +123,7 @@ class TestContentAndWeight:
 
     def test_doubled_tableau_weight(self):
         doubled = make_tableau(tab(X1_N3, 6).rows + tab(X1_N3, 6).rows)
-        assert tableau_weight(doubled) == (2, 2, 2, 2, 2, 2)
+        assert content(doubled) == (2, 2, 2, 2, 2, 2)
 
 
 class TestTorusInvariance:
@@ -184,3 +209,13 @@ class TestEnumerateStandard:
         for t in enumerate_standard(4, 3, 6, bound=w, content=(2,) * 6):
             assert is_standard(t, w)
             assert content(t) == (2,) * 6
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(enumeration_inputs())
+    def test_matches_brute_force_oracle_on_random_inputs(self, args):
+        shape_rows, r, n, bound, cont = args
+        bound_it = make_index_tuple(bound, n) if bound else None
+        got = tableaux_rows(
+            enumerate_standard(shape_rows, r, n, bound=bound_it, content=cont)
+        )
+        assert got == brute_force_standard(shape_rows, r, n, bound=bound, content=cont)

@@ -140,7 +140,7 @@ class TestExchangeIdentities:
 
 
 class TestNonNormality:
-    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("n", [3, 4, 6])
     def test_obstructed_at_small_ranks(self, n):
         report = verify_non_normality(n)
         assert report.passed
@@ -148,7 +148,11 @@ class TestNonNormality:
         assert not probe["spanned"]
         assert probe["cokernel_dim"] == 1
         assert probe["dim_graded_piece"] == 16
-        assert len(probe["cokernel_witnesses"]) == 2
+        assert probe["dim_lower_products"] == 15
+        witnesses = {
+            tuple(tuple(row) for row in t) for t in probe["cokernel_witnesses"]
+        }
+        assert witnesses == {t.row_values() for t in build_generators(n).deg2}
 
     def test_rank_two_case_is_spanned(self):
         report = verify_non_normality(2)
@@ -167,6 +171,12 @@ class TestQuotientDimensions:
 
     def test_passes_at_rank_four(self):
         assert verify_quotient_dimensions(4, k_max=2).passed
+
+    def test_passes_at_rank_six(self):
+        report = verify_quotient_dimensions(6)
+        assert report.passed
+        series = [d["series"] for d in report.details["slots"].values()]
+        assert series == [[1, 1, 1], [2, 3, 4], [2, 3, 4], [4, 10, 20]]
 
     def test_wrong_slot_fault_fails_at_degree_one(self):
         ws = [distinguished_w(i, 3) for i in (1, 2, 3)] + [distinguished_w(5, 3)]
