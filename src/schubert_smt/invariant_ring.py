@@ -7,7 +7,6 @@ exact linear algebra in these coordinates.
 """
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .lattice import IndexTuple
 from .linalg import IntRowSpan
@@ -126,7 +125,7 @@ def tableau_monomial(t: Tableau) -> PluckerPolynomial:
 
 def multiply_to_coordinates(
     a: Tableau, b: Tableau, target: GradedPieceBasis, seed=0
-) -> list[Fraction]:
+) -> list[int]:
     """Coordinates of the product a.b in the target invariant basis."""
     for t in (a, b):
         if not is_standard(t, target.w):
@@ -137,9 +136,9 @@ def multiply_to_coordinates(
         raise ValueError("degrees do not sum to the target degree")
     product = tableau_monomial(a) * tableau_monomial(b)
     expanded = straighten(product, target.w, seed=seed)
-    coords = [Fraction(0)] * len(target)
+    coords = [0] * len(target)
     for rows, c in expanded.terms.items():
-        coords[target.position(rows)] = Fraction(c)
+        coords[target.position(rows)] = c
     return coords
 
 
@@ -198,9 +197,9 @@ def generation_degree_probe(w: IndexTuple, k_max: int, seed=0) -> list[Generatio
     if k_max < 3:
         raise ValueError("k_max must be >= 3")
     bases = {d: invariant_basis(w, d) for d in range(1, k_max + 1)}
-    tables: dict[tuple[int, int], dict[tuple[int, int], list[Fraction]]] = {}
+    tables: dict[tuple[int, int], dict[tuple[int, int], list[int]]] = {}
 
-    def table(a: int, b: int) -> dict[tuple[int, int], list[Fraction]]:
+    def table(a: int, b: int) -> dict[tuple[int, int], list[int]]:
         if (a, b) not in tables:
             entries = {}
             for i, ta in enumerate(bases[a]):
@@ -234,7 +233,7 @@ def generation_degree_probe(w: IndexTuple, k_max: int, seed=0) -> list[Generatio
             mult = table(a, b)
             for vec in generated[a]:
                 for j in range(len(bases[b])):
-                    out = [Fraction(0)] * dim
+                    out = [0] * dim
                     for i, vi in enumerate(vec):
                         if vi:
                             entry = mult[(i, j)]

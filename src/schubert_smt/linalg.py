@@ -1,9 +1,12 @@
-"""Small exact linear algebra kernel: integer determinants, fraction-free
-rank / span tracking, and a replayable Gaussian solver for repeated
-right-hand sides over the rationals."""
+"""Small exact linear algebra kernel over the integers.
 
-from fractions import Fraction
-from math import gcd, lcm
+The determinant and the replayable solver share one fraction-free
+(Bareiss) update; rank and membership run on gcd-reduced integer
+echelon rows.  Every intermediate value is an integer, and every
+division is exact.
+"""
+
+from math import gcd
 
 
 def det_int(rows) -> int:
@@ -34,42 +37,10 @@ def det_int(rows) -> int:
 
 
 def rank_int(rows) -> int:
-    """Rank over QQ of an integer matrix, by division-free elimination."""
-    m = [list(r) for r in rows if any(r)]
-    if not m:
-        return 0
-    ncols = len(m[0])
-    rank = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(rank, len(m)):
-            if m[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        p = m[rank][c]
-        for i in range(rank + 1, len(m)):
-            f = m[i][c]
-            if f:
-                m[i] = [p * a - f * b for a, b in zip(m[i], m[rank])]
-                g = 0
-                for x in m[i]:
-                    g = gcd(g, x)
-                if g > 1:
-                    m[i] = [x // g for x in m[i]]
-        rank += 1
-        if rank == len(m):
-            break
-    return rank
-
-
-def to_int_vector(vec) -> list[int]:
-    """Scale a rational vector by the lcm of denominators; row space is unchanged."""
-    fracs = [Fraction(x) for x in vec]
-    mult = lcm(*(f.denominator for f in fracs)) if fracs else 1
-    return [int(f * mult) for f in fracs]
+    """Rank over QQ of an integer matrix."""
+    rows = list(rows)
+    span = IntRowSpan(len(rows[0]) if rows else 0)
+    return sum(span.add(row) for row in rows)
 
 
 def _gcd_normalize(vec: list[int]) -> list[int]:
@@ -85,7 +56,8 @@ def _gcd_normalize(vec: list[int]) -> list[int]:
 
 
 class IntRowSpan:
-    """Incremental row space over QQ, kept as gcd-reduced integer echelon rows.
+    """Incremental row space over QQ of integer vectors, kept as
+    gcd-reduced integer echelon rows.
 
     Cross-multiplication keeps everything in ZZ (fraction-free); scaling
     rows never changes the span, so rank and membership are exact.
@@ -96,7 +68,7 @@ class IntRowSpan:
         self.pivots: dict[int, list[int]] = {}
 
     def _reduce(self, vec) -> tuple[list[int], int | None]:
-        v = to_int_vector(vec)
+        v = list(vec)
         if len(v) != self.width:
             raise ValueError(f"vector has length {len(v)}, expected {self.width}")
         while True:
@@ -129,52 +101,61 @@ class IntRowSpan:
 
 
 class GaussSolver:
-    """Forward-eliminates an N x B integer matrix of full column rank once,
-    then solves A x = v for many right-hand sides by replaying the
-    recorded row operations.  Exact over QQ throughout."""
+    """Fraction-free (Bareiss) elimination of an N x B integer matrix of
+    full column rank, replayed to solve A x = v for many right-hand sides.
+
+    Each step k records its row swap, its pivot p, the previous pivot and
+    the multipliers of the rows below, and applies
+    a_ij <- (p * a_ij - a_ik * a_kj) / prev, the update of `det_int`.
+    The divisions are exact, so everything stays in ZZ.  `ok` is False
+    when a column has no pivot, i.e. the matrix is rank-deficient.
+    """
 
     def __init__(self, matrix):
-        a = [[Fraction(x) for x in row] for row in matrix]
+        # after step k, rows below k keep only their columns k+1..B-1
+        a = [list(row) for row in matrix]
         self.nrows = len(a)
         self.ncols = len(a[0]) if a else 0
         self.ok = True
-        self.ops: list[tuple] = []
-        for col in range(self.ncols):
-            piv = next((i for i in range(col, self.nrows) if a[i][col] != 0), None)
+        self.steps: list[tuple[int, int, int, list[int]]] = []
+        prev = 1
+        for k in range(self.ncols):
+            piv = next((i for i in range(k, self.nrows) if a[i][0]), None)
             if piv is None:
                 self.ok = False
                 return
-            if piv != col:
-                a[col], a[piv] = a[piv], a[col]
-                self.ops.append(("swap", col, piv))
-            pv = a[col][col]
-            for i in range(col + 1, self.nrows):
-                if a[i][col] != 0:
-                    f = a[i][col] / pv
-                    self.ops.append(("axpy", i, col, f))
-                    a[i] = [x - f * y for x, y in zip(a[i], a[col])]
-        self.upper = [a[i][:] for i in range(self.ncols)]
+            a[k], a[piv] = a[piv], a[k]
+            pk = a[k][0]
+            tail = a[k][1:]
+            mults = [a[i][0] for i in range(k + 1, self.nrows)]
+            for i, m in enumerate(mults, start=k + 1):
+                a[i] = [(pk * x - m * y) // prev for x, y in zip(a[i][1:], tail)]
+            self.steps.append((piv, pk, prev, mults))
+            prev = pk
+        self.denominator = prev
+        self.upper = a[:self.ncols]
 
-    def solve(self, rhs) -> list[Fraction] | None:
-        """One exact solution of A x = rhs, or None if inconsistent."""
+    def solve(self, rhs) -> tuple[list[int], int] | None:
+        """(y, D) with x = y / D the solution of A x = rhs, or None if the
+        system is inconsistent.  D is the last pivot; y is integral by
+        Cramer's rule, and x is integral exactly when D divides every y."""
         if not self.ok:
             raise RuntimeError("solver built from a rank-deficient matrix")
-        v = [Fraction(x) for x in rhs]
-        for op in self.ops:
-            if op[0] == "swap":
-                _, i, j = op
-                v[i], v[j] = v[j], v[i]
-            else:
-                _, i, src, f = op
-                v[i] -= f * v[src]
-        if any(v[i] for i in range(self.ncols, self.nrows)):
+        v = list(rhs)
+        for k, (piv, pk, prev, mults) in enumerate(self.steps):
+            v[k], v[piv] = v[piv], v[k]
+            vk = v[k]
+            for i, m in enumerate(mults, start=k + 1):
+                v[i] = (pk * v[i] - m * vk) // prev
+        if any(v[self.ncols:]):
             return None
-        x = [Fraction(0)] * self.ncols
+        d = self.denominator
+        y = [0] * self.ncols
         for i in reversed(range(self.ncols)):
-            s = v[i]
             row = self.upper[i]
+            s = d * v[i]
             for j in range(i + 1, self.ncols):
-                if x[j]:
-                    s -= row[j] * x[j]
-            x[i] = s / row[i]
-        return x
+                if y[j]:
+                    s -= row[j - i] * y[j]
+            y[i] = s // row[0]
+        return y, d

@@ -10,7 +10,9 @@ Straightening into the standard-monomial basis is done by exact
 evaluation-interpolation: enumerate the candidate standard basis of the
 matching degree and content, evaluate everything at random points of
 the cone over the target Schubert variety, solve the integer linear
-system over QQ, and verify the result on held-out points.  Chained
+system by fraction-free elimination (the coefficients come out as
+integer numerators over one common denominator, which must divide them
+all), and verify the result on held-out points.  Chained
 exchange-relation rewriting is deliberately avoided; the two-row
 exchange relation is still available as a relation generator.
 """
@@ -428,14 +430,15 @@ def _straighten_component(
         if cell.solver is None:
             failures.append(f"attempt {attempt}: sample matrix rank-deficient")
             continue
-        coeffs = cell.solver.solve(rhs)
-        if coeffs is None:
+        solved = cell.solver.solve(rhs)
+        if solved is None:
             failures.append(f"attempt {attempt}: system inconsistent")
             continue
-        if any(c.denominator != 1 for c in coeffs):
+        numerators, d = solved
+        if any(y % d for y in numerators):
             raise StraighteningError("non-integral straightening coefficients; bug")
         g = PluckerPolynomial(
-            r, n, {b: int(c) for b, c in zip(cell.basis, coeffs) if c}
+            r, n, {b: y // d for b, y in zip(cell.basis, numerators) if y}
         )
         holdout = _sample_points(
             HOLDOUT_POINTS, r, n, bound, f"{seed}:verify:{attempt}"

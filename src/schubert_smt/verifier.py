@@ -7,8 +7,6 @@ global sign per identity, which is recorded rather than silently fixed;
 everything else is compared on the nose.
 """
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import comb
 
@@ -21,8 +19,6 @@ from .invariant_ring import (
 from .lattice import IndexTuple, distinguished_w, top_element
 from .plucker import PluckerPolynomial, plucker_relation, random_schubert_point, evaluate, restrict, straighten
 from .tableaux import Tableau, is_standard, is_torus_invariant, make_tableau
-
-THREADS_ENV = "SCHUBERT_SMT_THREADS"
 
 
 @dataclass(frozen=True)
@@ -412,18 +408,6 @@ def verify_minimal_cases(seed: int = 0) -> VerificationReport:
 CASE_NAMES = ("lemma", "appendix", "theorem", "proposition", "remarks")
 
 
-def _max_workers(case_count: int) -> int:
-    env = os.environ.get(THREADS_ENV)
-    if env is not None:
-        try:
-            cap = max(1, int(env))
-        except ValueError:
-            cap = 1
-    else:
-        cap = os.cpu_count() or 1
-    return max(1, min(cap, case_count))
-
-
 def run_cases(case: str, n: int, seed: int = 0, k_max: int = 3) -> list[VerificationReport]:
     """Run one named case or all of them; results in canonical order."""
     jobs = {
@@ -439,9 +423,4 @@ def run_cases(case: str, n: int, seed: int = 0, k_max: int = 3) -> list[Verifica
         selected = [case]
     else:
         raise ValueError(f"unknown case {case!r}")
-    workers = _max_workers(len(selected))
-    if workers == 1 or len(selected) == 1:
-        return [jobs[name]() for name in selected]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(jobs[name]) for name in selected]
-        return [f.result() for f in futures]
+    return [jobs[name]() for name in selected]

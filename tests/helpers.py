@@ -72,6 +72,51 @@ def fraction_rank(rows):
     return rank
 
 
+def fraction_solve(matrix, rhs):
+    """One solution of A x = rhs by plain rational Gauss-Jordan elimination,
+    with free variables set to zero; None if the system is inconsistent."""
+    ncols = len(matrix[0]) if matrix else 0
+    m = [[Fraction(x) for x in row] + [Fraction(v)] for row, v in zip(matrix, rhs)]
+    pivots = []
+    for col in range(ncols):
+        rank = len(pivots)
+        piv = next((i for i in range(rank, len(m)) if m[i][col]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        inv = 1 / m[rank][col]
+        m[rank] = [x * inv for x in m[rank]]
+        for i in range(len(m)):
+            if i != rank and m[i][col]:
+                f = m[i][col]
+                m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
+        pivots.append(col)
+    if any(row[-1] for row in m[len(pivots):]):
+        return None
+    x = [Fraction(0)] * ncols
+    for row, col in zip(m, pivots):
+        x[col] = row[-1]
+    return x
+
+
+def fraction_det(matrix):
+    """Determinant by rational elimination."""
+    m = [[Fraction(x) for x in row] for row in matrix]
+    det = Fraction(1)
+    for col in range(len(m)):
+        piv = next((i for i in range(col, len(m)) if m[i][col]), None)
+        if piv is None:
+            return 0
+        if piv != col:
+            m[col], m[piv] = m[piv], m[col]
+            det = -det
+        det *= m[col][col]
+        for i in range(col + 1, len(m)):
+            f = m[i][col] / m[col][col]
+            m[i] = [a - f * b for a, b in zip(m[i], m[col])]
+    return det
+
+
 def function_rank(polys, w, n_points, seed_tag):
     """Rank of a family of polynomials as functions on the cone over X(w),
     via evaluation at random points only (no straightening involved)."""

@@ -230,9 +230,9 @@ class TestAlgebraicIndependence:
             for idx in combo[1:]:
                 poly = poly * tableau_monomial(gens[idx])
             expanded = straighten(poly, w4)
-            vec = [Fraction(0)] * len(target)
+            vec = [0] * len(target)
             for rows, c in expanded.terms.items():
-                vec[target.position(rows)] = Fraction(c)
+                vec[target.position(rows)] = c
             span.add(vec)
         assert span.rank == comb(k + 3, 3)
         assert span.rank == len(target)

@@ -3,6 +3,7 @@ from importlib import resources
 
 import pytest
 
+from schubert_smt import plucker
 from schubert_smt import (
     build_generators,
     distinguished_w,
@@ -219,7 +220,14 @@ class TestRunCases:
         b = [r.to_dict() for r in run_cases("all", 3, seed=7)]
         assert a == b
 
-    def test_thread_cap_respected(self, monkeypatch):
-        monkeypatch.setenv("SCHUBERT_SMT_THREADS", "1")
-        reports = run_cases("all", 3)
-        assert all(r.passed for r in reports)
+    def test_each_interpolation_cell_is_built_once(self):
+        # the cases share the interpolation-cell cache; run in order, no
+        # two of them can miss on the same cell and both build it
+        cell_cache = plucker._interpolation_cell
+        cell_cache.cache_clear()
+        try:
+            run_cases("all", 5)
+            info = cell_cache.cache_info()
+            assert info.misses == info.currsize
+        finally:
+            cell_cache.cache_clear()
