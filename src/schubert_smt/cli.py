@@ -10,6 +10,7 @@ or all checks passed, 1 verification failure, 2 usage or input error,
 import argparse
 import json
 import sys
+from functools import lru_cache
 
 from .invariant_ring import (
     generation_degree_probe,
@@ -251,10 +252,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    # parse_args leaves the parser as it was, so one instance serves every call
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     handlers = {

@@ -302,19 +302,32 @@ def two_row_exchange(sigma: IndexTuple, tau: IndexTuple, t: int) -> PluckerPolyn
 # -- evaluation oracle -------------------------------------------------
 
 
-@lru_cache(maxsize=1 << 16)
-def _minor(matrix: Matrix, cols: Row) -> int:
-    sub = [[matrix[i][c - 1] for c in cols] for i in range(len(cols))]
-    return det_int(sub)
+class MinorTable(dict):
+    """The r x r minors of one integer r x n matrix, keyed by column
+    tuple and computed on first lookup."""
+
+    __slots__ = ("matrix",)
+
+    def __init__(self, matrix: Matrix):
+        super().__init__()
+        self.matrix = matrix
+
+    def __missing__(self, cols: Row) -> int:
+        value = self[cols] = det_int([[row[c - 1] for c in cols] for row in self.matrix])
+        return value
 
 
-def monomial_value(rows: Monomial, matrix: Matrix) -> int:
+def monomial_value(rows: Monomial, minors: MinorTable) -> int:
     value = 1
     for row in rows:
-        value *= _minor(matrix, row)
+        value *= minors[row]
         if value == 0:
             return 0
     return value
+
+
+def _value(f: PluckerPolynomial, minors: MinorTable) -> int:
+    return sum(c * monomial_value(rows, minors) for rows, c in f.terms.items())
 
 
 def evaluate(f: PluckerPolynomial, matrix) -> int:
@@ -322,7 +335,7 @@ def evaluate(f: PluckerPolynomial, matrix) -> int:
     matrix = tuple(tuple(int(v) for v in row) for row in matrix)
     if len(matrix) != f.r or any(len(row) != f.n for row in matrix):
         raise ValueError(f"matrix is not {f.r} x {f.n}")
-    return sum(c * monomial_value(rows, matrix) for rows, c in f.terms.items())
+    return _value(f, MinorTable(matrix))
 
 
 def restrict(f: PluckerPolynomial, w: IndexTuple) -> PluckerPolynomial:
@@ -350,13 +363,22 @@ def random_schubert_point(w: IndexTuple, seed) -> Matrix:
     every minor p_tau with tau not below w vanishes.  Deterministic in
     the seed.
     """
-    rng = random.Random(f"schubert:{w.n}:{','.join(map(str, w.values))}:{seed}")
+    # rng.randint(-3, 3) draws getrandbits(3) until it is below 7; drawing
+    # that way directly gives the same stream without the call chain.
+    getrandbits = random.Random(
+        f"schubert:{w.n}:{','.join(map(str, w.values))}:{seed}"
+    ).getrandbits
     n = w.n
+    width = 2 * TRIANGULAR_ENTRY_BOUND + 1
+    bits = width.bit_length()
     b = [[0] * n for _ in range(n)]
     for i in range(n):
         b[i][i] = 1
         for j in range(i + 1, n):
-            b[i][j] = rng.randint(-TRIANGULAR_ENTRY_BOUND, TRIANGULAR_ENTRY_BOUND)
+            k = getrandbits(bits)
+            while k >= width:
+                k = getrandbits(bits)
+            b[i][j] = k - TRIANGULAR_ENTRY_BOUND
     return tuple(tuple(b[l][c - 1] for l in range(n)) for c in w.values)
 
 
@@ -379,14 +401,27 @@ def random_point(r: int, n: int, seed) -> Matrix:
 @dataclass(frozen=True)
 class _Cell:
     basis: tuple[Monomial, ...]
-    points: tuple[Matrix, ...]
+    points: tuple[MinorTable, ...]
+    holdout: tuple[MinorTable, ...]
     solver: GaussSolver | None
 
 
-def _sample_points(count: int, r: int, n: int, bound: IndexTuple | None, tag: str):
+@lru_cache(maxsize=1024)
+def _point(r: int, n: int, bound: IndexTuple | None, tag: str) -> MinorTable:
+    """One sample point, with the minors computed at it so far."""
     if bound is not None:
-        return tuple(random_schubert_point(bound, f"{tag}:{idx}") for idx in range(count))
-    return tuple(random_point(r, n, f"{tag}:{idx}") for idx in range(count))
+        return MinorTable(random_schubert_point(bound, tag))
+    return MinorTable(random_point(r, n, tag))
+
+
+@lru_cache(maxsize=256)
+def _standard_basis(
+    r: int, n: int, degree: int, content: tuple[int, ...], bound: IndexTuple | None
+) -> tuple[Monomial, ...]:
+    return tuple(
+        t.row_values()
+        for t in enumerate_standard(degree, r, n, bound=bound, content=content)
+    )
 
 
 @lru_cache(maxsize=256)
@@ -396,20 +431,23 @@ def _interpolation_cell(
     degree: int,
     content: tuple[int, ...],
     bound: IndexTuple | None,
-    seed_tag: str,
+    seed,
+    attempt: int,
 ) -> _Cell:
-    basis = tuple(
-        t.row_values()
-        for t in enumerate_standard(degree, r, n, bound=bound, content=content)
-    )
+    basis = _standard_basis(r, n, degree, content, bound)
     count = len(basis) + EXTRA_SAMPLES
-    points = _sample_points(count, r, n, bound, seed_tag)
-    solver = None
+    points = tuple(_point(r, n, bound, f"{seed}:cell:{attempt}:{idx}") for idx in range(count))
+    solver, holdout = None, ()
     if basis:
         matrix = [[monomial_value(b, m) for b in basis] for m in points]
         candidate = GaussSolver(matrix)
-        solver = candidate if candidate.ok else None
-    return _Cell(basis=basis, points=points, solver=solver)
+        if candidate.ok:
+            solver = candidate
+            holdout = tuple(
+                _point(r, n, bound, f"{seed}:verify:{attempt}:{idx}")
+                for idx in range(HOLDOUT_POINTS)
+            )
+    return _Cell(basis=basis, points=points, holdout=holdout, solver=solver)
 
 
 def _straighten_component(
@@ -418,9 +456,8 @@ def _straighten_component(
     r, n, degree = comp.r, comp.n, comp.degree
     failures = []
     for attempt in range(MAX_RESEEDINGS + 1):
-        tag = f"{seed}:cell:{attempt}"
-        cell = _interpolation_cell(r, n, degree, cont, bound, tag)
-        rhs = [evaluate(comp, m) for m in cell.points]
+        cell = _interpolation_cell(r, n, degree, cont, bound, seed, attempt)
+        rhs = [_value(comp, m) for m in cell.points]
         if not cell.basis:
             if any(rhs):
                 raise StraighteningError(
@@ -440,10 +477,7 @@ def _straighten_component(
         g = PluckerPolynomial(
             r, n, {b: y // d for b, y in zip(cell.basis, numerators) if y}
         )
-        holdout = _sample_points(
-            HOLDOUT_POINTS, r, n, bound, f"{seed}:verify:{attempt}"
-        )
-        if all(evaluate(g, m) == evaluate(comp, m) for m in holdout):
+        if all(_value(g, m) == _value(comp, m) for m in cell.holdout):
             return g
         failures.append(f"attempt {attempt}: holdout check failed")
     raise RankDeficientError(

@@ -228,9 +228,12 @@ def verify_product_relation(n: int, seed: int = 0) -> VerificationReport:
     y = [tableau_monomial(t) for t in gens.deg2]
     lhs = x[1] * x[2]
     rhs = x[0] * x[3] - y[1] - y[0] + x[4] * (x[0] - x[1] - x[2] + x[3] - x[4])
-    residual = straighten(lhs - rhs, w5, seed=seed)
+    difference = lhs - rhs
+    residual = straighten(difference, w5, seed=seed)
     points = [random_schubert_point(w5, f"{seed}:relation:{i}") for i in range(100)]
-    eval_ok = all(evaluate(lhs, m) == evaluate(rhs, m) for m in points)
+    # evaluation is linear, so lhs and rhs agree at a point iff their
+    # difference vanishes there; one evaluation computes each minor once
+    eval_ok = all(evaluate(difference, m) == 0 for m in points)
     ok = residual.is_zero() and eval_ok
     return VerificationReport(
         name="product-relation",

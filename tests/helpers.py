@@ -7,6 +7,7 @@ rank computations straight from the determinant oracle.
 """
 
 import itertools
+import random
 from fractions import Fraction
 
 from schubert_smt import make_index_tuple, make_tableau
@@ -115,6 +116,34 @@ def fraction_det(matrix):
             f = m[i][col] / m[col][col]
             m[i] = [a - f * b for a, b in zip(m[i], m[col])]
     return det
+
+
+def leibniz_det(matrix):
+    """Determinant as the signed sum over all permutations."""
+    k = len(matrix)
+    total = 0
+    for perm in itertools.permutations(range(k)):
+        inversions = sum(
+            1 for i in range(k) for j in range(i + 1, k) if perm[i] > perm[j]
+        )
+        term = -1 if inversions % 2 else 1
+        for i, j in enumerate(perm):
+            term *= matrix[i][j]
+        total += term
+    return total
+
+
+def reference_schubert_point(w, seed):
+    """The Schubert-point sampler drawn entry by entry with rng.randint(-3, 3);
+    the package's sampler must return exactly these matrices."""
+    rng = random.Random(f"schubert:{w.n}:{','.join(map(str, w.values))}:{seed}")
+    n = w.n
+    b = [[0] * n for _ in range(n)]
+    for i in range(n):
+        b[i][i] = 1
+        for j in range(i + 1, n):
+            b[i][j] = rng.randint(-3, 3)
+    return tuple(tuple(b[l][c - 1] for l in range(n)) for c in w.values)
 
 
 def function_rank(polys, w, n_points, seed_tag):

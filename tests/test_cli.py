@@ -268,3 +268,38 @@ class TestProbeCommand:
 
     def test_usage_error_on_unknown_flag(self, capsys):
         assert main(["probe", "--nonsense"]) == EXIT_USAGE
+
+
+class TestCallsInOneProcess:
+    """main() reuses one parser; no option of one call carries into the next."""
+
+    def test_json_call_then_text_call(self, tmp_path, capsys):
+        path = write_doc(tmp_path, VIOLATING_DOC)
+        code, out, _ = run_cli(capsys, ["straighten", "--input", path, "--json", "--seed", "3"])
+        assert code == EXIT_OK and json.loads(out)["seed"] == 3
+        code, out, _ = run_cli(capsys, ["straighten", "--input", path])
+        assert code == EXIT_OK
+        assert out == "- p[1,2]p[3,4] + p[1,3]p[2,4]\n"
+        code, out, _ = run_cli(capsys, ["straighten", "--input", path, "--json"])
+        assert code == EXIT_OK and json.loads(out)["seed"] == 0
+
+    def test_usage_error_then_valid_call(self, capsys):
+        code, _, err = run_cli(capsys, ["verify", "--case", "bogus", "--n", "3"])
+        assert code == EXIT_USAGE and "invalid choice" in err
+        code, _, _ = run_cli(capsys, ["probe", "--nonsense"])
+        assert code == EXIT_USAGE
+        code, out, err = run_cli(capsys, ["verify", "--case", "remarks", "--n", "3"])
+        assert code == EXIT_OK and err == ""
+        assert out == "minimal-cases (n=-): pass\nall cases passed\n"
+
+    def test_out_file_is_not_reused(self, tmp_path, capsys):
+        path = write_doc(tmp_path, VIOLATING_DOC)
+        out_path = tmp_path / "result.json"
+        code, out, _ = run_cli(
+            capsys, ["straighten", "--input", path, "--json", "--out", str(out_path)]
+        )
+        assert code == EXIT_OK and out == ""
+        written = out_path.read_text()
+        code, out, _ = run_cli(capsys, ["basis", "--w", "4,5,6", "--n2n", "6", "--json"])
+        assert code == EXIT_OK and json.loads(out)["count"] == 5
+        assert out_path.read_text() == written

@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from schubert_smt import (
     PluckerPolynomial,
@@ -15,10 +16,15 @@ from schubert_smt import (
     random_schubert_point,
     restrict,
     straighten,
+    top_element,
     two_row_exchange,
 )
 from schubert_smt import plucker
-from schubert_smt.plucker import _minor, monomial_content, rows_are_standard
+from schubert_smt.plucker import MinorTable, monomial_content, rows_are_standard
+
+from helpers import fraction_det, leibniz_det, reference_schubert_point
+
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
 
 def random_matrix(rng, r, n, lo=-5, hi=5):
@@ -184,7 +190,7 @@ class TestRandomSchubertPoint:
         m = random_schubert_point(w, 4)
         for i in range(3):
             assert all(m[i][c] == 0 for c in range(3, 6))
-        assert _minor(m, (1, 2, 3)) == 1  # principal block of a unit triangular
+        assert MinorTable(m)[(1, 2, 3)] == 1  # principal block of a unit triangular
 
     def test_deterministic_in_seed(self):
         w = distinguished_w(5, 4)
@@ -197,10 +203,10 @@ class TestRandomSchubertPoint:
     def test_minors_vanish_above_w(self, w_values):
         w = make_index_tuple(w_values, 6)
         for seed in range(5):
-            m = random_schubert_point(w, seed)
+            minors = MinorTable(random_schubert_point(w, seed))
             for tau in itertools.combinations(range(1, 7), 3):
                 if not all(a <= b for a, b in zip(tau, w_values)):
-                    assert _minor(m, tau) == 0
+                    assert minors[tau] == 0
 
     def test_generic_point_has_full_rank(self):
         from schubert_smt.linalg import rank_int
@@ -208,6 +214,81 @@ class TestRandomSchubertPoint:
         for seed in range(10):
             assert rank_int(random_point(3, 6, seed)) == 3
             assert rank_int(random_schubert_point(distinguished_w(3, 3), seed)) == 3
+
+    def test_same_points_as_the_randint_sampler(self):
+        ws = [distinguished_w(i, n) for i in range(1, 6) for n in range(3, 7)]
+        ws.append(top_element(4, 8))
+        seeds = [0, 1, 7, 4200132, "s:cell:1:3", "9:verify:0:5", "relation:12"]
+        for w in ws:
+            for seed in seeds:
+                assert random_schubert_point(w, seed) == reference_schubert_point(w, seed)
+
+    def test_pinned_points(self):
+        # literal values, so a change in the standard library's generator shows too
+        assert random_schubert_point(distinguished_w(5, 3), 0) == (
+            (3, 2, -2, 1, 0, 0),
+            (2, 0, -3, -1, 1, 0),
+            (-1, -3, 0, 0, 3, 1),
+        )
+        assert random_schubert_point(top_element(4, 8), "s:cell:1:3") == (
+            (3, 3, -1, 0, 1, 0, 0, 0),
+            (-1, 0, 3, -3, 2, 1, 0, 0),
+            (-2, -1, -2, 3, -3, 2, 1, 0),
+            (1, -1, 2, -1, 1, 2, 0, 1),
+        )
+
+
+@st.composite
+def matrices_with_zero_columns(draw):
+    """An integer r x n matrix, r <= 5 and n <= 8, some of whose columns
+    may be zero."""
+    r = draw(st.integers(1, 5))
+    n = draw(st.integers(r, 8))
+    zero = draw(st.sets(st.integers(0, n - 1), max_size=n))
+    entries = st.integers(-4, 4)
+    return tuple(
+        tuple(0 if c in zero else draw(entries) for c in range(n)) for _ in range(r)
+    )
+
+
+class TestMinorTable:
+    @PROPERTY
+    @given(st.data())
+    def test_matches_rational_determinant(self, data):
+        m = data.draw(matrices_with_zero_columns())
+        r, n = len(m), len(m[0])
+        all_cols = list(itertools.combinations(range(1, n + 1), r))
+        lookups = data.draw(st.lists(st.sampled_from(all_cols), min_size=1, max_size=30))
+        minors = MinorTable(m)
+        for cols in lookups:
+            assert minors[cols] == fraction_det([[row[c - 1] for c in cols] for row in m])
+        assert set(minors) == set(lookups)
+        for cols in lookups:  # repeated lookups read the stored value
+            assert minors[cols] == fraction_det([[row[c - 1] for c in cols] for row in m])
+        assert set(minors) == set(lookups)
+
+    @PROPERTY
+    @given(st.data())
+    def test_evaluate_matches_leibniz_sum(self, data):
+        m = data.draw(matrices_with_zero_columns())
+        r, n = len(m), len(m[0])
+        all_cols = list(itertools.combinations(range(1, n + 1), r))
+        degree = data.draw(st.integers(1, 3))
+        monomials = data.draw(
+            st.lists(st.lists(st.sampled_from(all_cols), min_size=degree, max_size=degree),
+                     min_size=1, max_size=4)
+        )
+        coeffs = data.draw(
+            st.lists(st.integers(-9, 9), min_size=len(monomials), max_size=len(monomials))
+        )
+        f = PluckerPolynomial(r, n, zip(monomials, coeffs))
+        expected = 0
+        for rows, c in f.terms.items():
+            value = c
+            for cols in rows:
+                value *= leibniz_det([[row[col - 1] for col in cols] for row in m])
+            expected += value
+        assert evaluate(f, m) == expected
 
 
 class TestStraighten:
@@ -235,6 +316,42 @@ class TestStraighten:
         for attempt in range(plucker.MAX_RESEEDINGS + 1):
             assert f"attempt {attempt}: sample matrix rank-deficient" in message
         assert "inconsistent" not in message and "holdout" not in message
+
+    @pytest.mark.parametrize("bound", [None, distinguished_w(5, 3)])
+    def test_two_content_polynomial_samples_each_point_once(self, monkeypatch, bound):
+        # both weight cells draw from the same seeded points, so a point
+        # they share is sampled once
+        if bound is None:
+            f = PluckerPolynomial.monomial(((1, 4), (2, 3)), 4) + PluckerPolynomial.monomial(
+                ((1, 4), (2, 4)), 4
+            )
+            sampler = "random_point"
+        else:
+            f = PluckerPolynomial.monomial(((1, 4, 5), (2, 3, 6)), 6) + PluckerPolynomial.monomial(
+                ((1, 4, 5), (2, 3, 5)), 6
+            )
+            sampler = "random_schubert_point"
+        contents = {monomial_content(rows, f.n) for rows in f.terms}
+        assert len(contents) == 2
+        sizes = [len(plucker._standard_basis(f.r, f.n, f.degree, c, bound)) for c in contents]
+        tags = []
+        original = getattr(plucker, sampler)
+
+        def counting(*args):
+            tags.append(args[-1])
+            return original(*args)
+
+        monkeypatch.setattr(plucker, sampler, counting)
+        for cache in (plucker._interpolation_cell, plucker._point):
+            cache.cache_clear()
+        try:
+            g = straighten(f, bound, seed=5)
+        finally:
+            for cache in (plucker._interpolation_cell, plucker._point):
+                cache.cache_clear()
+        assert not g.is_zero()
+        assert len(tags) == len(set(tags))
+        assert len(tags) == max(sizes) + plucker.EXTRA_SAMPLES + plucker.HOLDOUT_POINTS
 
     def test_idempotent_term_for_term(self):
         f = PluckerPolynomial.monomial(((1, 4), (2, 3)), 4)

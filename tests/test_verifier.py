@@ -221,13 +221,17 @@ class TestRunCases:
         assert a == b
 
     def test_each_interpolation_cell_is_built_once(self):
-        # the cases share the interpolation-cell cache; run in order, no
-        # two of them can miss on the same cell and both build it
-        cell_cache = plucker._interpolation_cell
-        cell_cache.cache_clear()
+        # the cases share the cell, point and basis caches; run in order,
+        # no two of them can miss on the same key and both build its value,
+        # and nothing is evicted and built again
+        caches = (plucker._interpolation_cell, plucker._point, plucker._standard_basis)
+        for cache in caches:
+            cache.cache_clear()
         try:
             run_cases("all", 5)
-            info = cell_cache.cache_info()
-            assert info.misses == info.currsize
+            for cache in caches:
+                info = cache.cache_info()
+                assert info.misses == info.currsize
         finally:
-            cell_cache.cache_clear()
+            for cache in caches:
+                cache.cache_clear()
