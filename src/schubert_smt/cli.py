@@ -32,15 +32,24 @@ class DocumentError(ValueError):
     pass
 
 
+def _is_json_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def load_polynomial_document(doc: dict) -> PluckerPolynomial:
     """Parse {"r", "n", "terms": [{"coeff", "monomial"}]}; rows may arrive
-    unsorted and are sign-normalised on load."""
+    unsorted and are sign-normalised on load.
+
+    r and n are JSON integers with 1 <= r <= n, and a monomial is a
+    nonempty list of rows, each a list of r JSON integers (no bool, no
+    float).  Anything else raises DocumentError.
+    """
     try:
-        r = int(doc["r"])
-        n = int(doc["n"])
-        terms = doc["terms"]
-    except (KeyError, TypeError, ValueError) as exc:
+        r, n, terms = doc["r"], doc["n"], doc["terms"]
+    except (KeyError, TypeError) as exc:
         raise DocumentError(f"malformed polynomial document: {exc}") from exc
+    if not (_is_json_int(r) and _is_json_int(n) and 1 <= r <= n):
+        raise DocumentError(f"'r' and 'n' must be integers with 1 <= r <= n, got {r!r} and {n!r}")
     if not isinstance(terms, list):
         raise DocumentError("'terms' must be a list")
     poly = PluckerPolynomial.zero(r, n)
@@ -52,8 +61,17 @@ def load_polynomial_document(doc: dict) -> PluckerPolynomial:
             raise DocumentError(f"malformed term {term!r}: {exc}") from exc
         if coeff == 0:
             raise DocumentError("zero coefficients are not allowed in documents")
-        if any(len(row) != r for row in rows):
-            raise DocumentError(f"monomial rows must have length {r}")
+        if not (
+            isinstance(rows, list)
+            and rows
+            and all(
+                isinstance(row, list) and len(row) == r and all(map(_is_json_int, row))
+                for row in rows
+            )
+        ):
+            raise DocumentError(
+                f"monomial {rows!r} must be a nonempty list of rows of {r} integers"
+            )
         try:
             addend = PluckerPolynomial.from_raw_rows(rows, n, coeff)
             if not addend.is_zero() and poly.degree not in (None, addend.degree):
@@ -154,9 +172,6 @@ def _cmd_basis(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.n >= 5 and not args.gate_n5:
-        print("error: the n>=5 suite is heavier; pass --gate-n5 to enable it", file=sys.stderr)
-        return EXIT_USAGE
     try:
         reports = run_cases(args.case, args.n, seed=args.seed, k_max=args.k_max)
     except ValueError as exc:
@@ -237,8 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--case", default="all", choices=CASE_NAMES + ("all",))
     p.add_argument("--n", type=int, default=3)
     p.add_argument("--k-max", type=int, default=3, dest="k_max")
-    p.add_argument("--gate-n5", action="store_true", dest="gate_n5",
-                   help="enable the heavier n>=5 suite")
+    p.add_argument("--gate-n5", action="store_true",
+                   help="no effect; every rank runs without it")
     common(p)
 
     p = sub.add_parser("probe", help="span probes on a Schubert quotient")

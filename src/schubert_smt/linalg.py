@@ -1,20 +1,43 @@
 """Small exact linear algebra kernel over the integers.
 
-The determinant and the replayable solver share one fraction-free
-(Bareiss) update; rank and membership run on gcd-reduced integer
-echelon rows.  Every intermediate value is an integer, and every
-division is exact.
+The determinant is a cofactor formula up to 4 x 4, the size of every
+Pluecker minor at ranks 3 and 4, and a fraction-free (Bareiss)
+elimination above; the replayable solver uses the same Bareiss update.
+Rank and membership run on gcd-reduced integer echelon rows.  Every
+intermediate value is an integer, and every division is exact.
 """
 
 from math import gcd
 
 
 def det_int(rows) -> int:
-    """Bareiss determinant of a square integer matrix."""
+    """Determinant of a square integer matrix, given as a sequence of rows.
+
+    Up to 4 x 4 it is a cofactor formula read off the rows without a copy;
+    above that, Bareiss elimination on a copy.
+    """
+    k = len(rows)
+    if k == 3:
+        (a, b, c), (d, e, f), (g, h, i) = rows
+        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    if k == 4:
+        # Laplace expansion along the top two rows: each 2 x 2 minor on
+        # columns {s, t} times the complementary minor of the bottom rows
+        (a, b, c, d), (e, f, g, h), (i, j, l, m), (n, o, p, q) = rows
+        return (
+            (a * f - b * e) * (l * q - m * p)
+            - (a * g - c * e) * (j * q - m * o)
+            + (a * h - d * e) * (j * p - l * o)
+            + (b * g - c * f) * (i * q - m * n)
+            - (b * h - d * f) * (i * p - l * n)
+            + (c * h - d * g) * (i * o - j * n)
+        )
+    if k == 2:
+        (a, b), (c, d) = rows
+        return a * d - b * c
+    if k < 2:
+        return rows[0][0] if k else 1
     m = [list(r) for r in rows]
-    k = len(m)
-    if k == 0:
-        return 1
     sign = 1
     prev = 1
     for c in range(k - 1):

@@ -304,16 +304,22 @@ def two_row_exchange(sigma: IndexTuple, tau: IndexTuple, t: int) -> PluckerPolyn
 
 class MinorTable(dict):
     """The r x r minors of one integer r x n matrix, keyed by column
-    tuple and computed on first lookup."""
+    tuple and computed on first lookup.
 
-    __slots__ = ("matrix",)
+    The table keeps the matrix by column.  A minor hands its columns to
+    `det_int` as rows, uncopied: the determinant of the transpose is the
+    same.
+    """
+
+    __slots__ = ("columns",)
 
     def __init__(self, matrix: Matrix):
         super().__init__()
-        self.matrix = matrix
+        self.columns = tuple(zip(*matrix))
 
     def __missing__(self, cols: Row) -> int:
-        value = self[cols] = det_int([[row[c - 1] for c in cols] for row in self.matrix])
+        columns = self.columns
+        value = self[cols] = det_int([columns[c - 1] for c in cols])
         return value
 
 
@@ -406,7 +412,10 @@ class _Cell:
     solver: GaussSolver | None
 
 
-@lru_cache(maxsize=1024)
+# The point and cell caches hold one operation's work: no verify, probe
+# or straighten call uses more than 142 points or 4 cells, and a cell
+# keeps its own points alive.  Older seeds' cells leave soon.
+@lru_cache(maxsize=256)
 def _point(r: int, n: int, bound: IndexTuple | None, tag: str) -> MinorTable:
     """One sample point, with the minors computed at it so far."""
     if bound is not None:
@@ -424,7 +433,7 @@ def _standard_basis(
     )
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=16)
 def _interpolation_cell(
     r: int,
     n: int,

@@ -69,6 +69,46 @@ class TestDocuments:
             )
 
 
+def _doc(monomial, r=3, n=6):
+    return {"r": r, "n": n, "terms": [{"coeff": "1", "monomial": monomial}]}
+
+
+MALFORMED_DOCS = {
+    "monomial_is_int": _doc(5),
+    "row_is_int": _doc([5]),
+    "row_is_null": _doc([[1, 2, 3], None]),
+    "float_entry": _doc([[1, 2, 3.5]]),
+    "bool_entry": _doc([[True, 2, 3]]),
+    "no_rows": _doc([]),
+    "r_zero": _doc([[]], r=0),
+    "n_negative": _doc([[1, 2, 3]], n=-6),
+    "r_above_n": _doc([[1, 2, 3]], n=2),
+    "r_is_bool": _doc([[1]], r=True),
+    "n_is_float": _doc([[1, 2, 3]], n=6.0),
+}
+
+
+class TestMalformedDocuments:
+    """A malformed document is a DocumentError and exit 2, never exit 3
+    and never a silent coercion."""
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED_DOCS))
+    def test_load_raises_document_error(self, name):
+        with pytest.raises(DocumentError):
+            load_polynomial_document(MALFORMED_DOCS[name])
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED_DOCS))
+    def test_straighten_exits_2(self, tmp_path, capsys, name):
+        path = write_doc(tmp_path, MALFORMED_DOCS[name])
+        code, out, err = run_cli(capsys, ["straighten", "--input", path, "--json"])
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error: ")
+
+    def test_well_formed_neighbour_loads(self):
+        poly = load_polynomial_document(_doc([[3, 2, 1], [4, 5, 6]]))
+        assert poly == PluckerPolynomial.monomial(((1, 2, 3), (4, 5, 6)), 6, -1)
+
+
 class TestStraightenCommand:
     def test_three_term_rewrite(self, tmp_path, capsys):
         path = write_doc(tmp_path, VIOLATING_DOC)
@@ -202,9 +242,13 @@ class TestVerifyCommand:
         payload = json.loads(out)
         assert payload["cases"][0]["details"]["probe"]["spanned"]
 
-    def test_gate_required_for_rank_five(self, capsys):
-        code, _, err = run_cli(capsys, ["verify", "--case", "lemma", "--n", "5"])
-        assert code == EXIT_USAGE and "gate-n5" in err
+    def test_gate_flag_changes_nothing_at_rank_five(self, capsys):
+        # --gate-n5 is still accepted, and has no effect
+        argv = ["verify", "--case", "all", "--n", "5", "--json"]
+        code, out, err = run_cli(capsys, argv)
+        assert code == EXIT_OK and err == ""
+        assert json.loads(out)["all_pass"]
+        assert run_cli(capsys, argv + ["--gate-n5"]) == (code, out, err)
 
     def test_gated_rank_five_lemma(self, capsys):
         code, out, _ = run_cli(

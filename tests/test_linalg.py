@@ -2,7 +2,8 @@
 
 Every property compares `schubert_smt.linalg` with the `Fraction`
 oracles in `helpers`, on integer matrices with at most 12 rows and at
-most 8 columns.
+most 8 columns; the 3 x 3 and 4 x 4 determinants also on entries up to
+10**6 in size.
 """
 
 from fractions import Fraction
@@ -16,6 +17,12 @@ from helpers import fraction_det, fraction_rank, fraction_solve
 
 ENTRIES = st.integers(-4, 4)
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+# small entries, entries up to 10**6 in size, and mostly zeros
+COFACTOR_ENTRIES = (
+    ENTRIES,
+    st.integers(-10**6, 10**6),
+    st.sampled_from((0, 0, 0, 0, 0, 1, -1, 3, 10**6, -10**6)),
+)
 
 
 def matrices(nrows, ncols, entries=ENTRIES):
@@ -119,6 +126,16 @@ class TestDetRank:
         k = data.draw(st.integers(0, 8))
         a = data.draw(matrices(k, k) | low_rank(k, k))
         assert det_int(a) == fraction_det(a)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_cofactor_sizes_match_fraction_determinant(self, data):
+        # 3 x 3 and 4 x 4 take the cofactor formulas, not Bareiss
+        k = data.draw(st.sampled_from((3, 4)))
+        entries = data.draw(st.sampled_from(COFACTOR_ENTRIES))
+        a = data.draw(matrices(k, k, entries) | low_rank(k, k))
+        assert det_int(a) == fraction_det(a)
+        assert det_int([tuple(row) for row in a]) == fraction_det(a)
 
     @PROPERTY
     @given(low_rank() | st.integers(1, 12).flatmap(lambda n: matrices(n, 5)))

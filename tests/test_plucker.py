@@ -223,6 +223,18 @@ class TestRandomSchubertPoint:
             for seed in seeds:
                 assert random_schubert_point(w, seed) == reference_schubert_point(w, seed)
 
+    def test_every_minor_matches_rational_determinant(self):
+        # the table reads columns; the oracle builds each submatrix from rows
+        ws = [distinguished_w(i, n) for i in range(1, 6) for n in (3, 4)]
+        ws.append(top_element(4, 8))
+        for w in ws:
+            for seed in (0, 7, "s:cell:1:3"):
+                m = random_schubert_point(w, seed)
+                minors = MinorTable(m)
+                for cols in itertools.combinations(range(1, w.n + 1), w.r):
+                    expected = fraction_det([[row[c - 1] for c in cols] for row in m])
+                    assert minors[cols] == expected
+
     def test_pinned_points(self):
         # literal values, so a change in the standard library's generator shows too
         assert random_schubert_point(distinguished_w(5, 3), 0) == (

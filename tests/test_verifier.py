@@ -220,15 +220,17 @@ class TestRunCases:
         b = [r.to_dict() for r in run_cases("all", 3, seed=7)]
         assert a == b
 
-    def test_each_interpolation_cell_is_built_once(self):
+    @pytest.mark.parametrize("n", [5, 7])
+    def test_each_interpolation_cell_is_built_once(self, n):
         # the cases share the cell, point and basis caches; run in order,
         # no two of them can miss on the same key and both build its value,
-        # and nothing is evicted and built again
+        # and nothing is evicted and built again.  At n = 7 one call builds
+        # 4 cells and 88 points, so the cache bounds must hold a whole call.
         caches = (plucker._interpolation_cell, plucker._point, plucker._standard_basis)
         for cache in caches:
             cache.cache_clear()
         try:
-            run_cases("all", 5)
+            run_cases("all", n)
             for cache in caches:
                 info = cache.cache_info()
                 assert info.misses == info.currsize
