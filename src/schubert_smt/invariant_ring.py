@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 from .lattice import IndexTuple
 from .linalg import IntRowSpan
-from .plucker import Monomial, PluckerPolynomial, straighten
+from .plucker import Monomial, PluckerPolynomial, rows_are_standard, straighten
 from .tableaux import Tableau, enumerate_standard, is_standard, is_torus_invariant
 
 
@@ -142,20 +142,74 @@ def multiply_to_coordinates(
     return coords
 
 
+# A product given as its terms (c, a, b): the sum of c.a.b over basis tableaux.
+Product = list[tuple[int, Tableau, Tableau]]
+
+
+def _product_rows(a: Tableau, b: Tableau) -> Monomial:
+    return tuple(sorted(a.row_values() + b.row_values()))
+
+
+def _span_of_products(products: list[Product], target: GradedPieceBasis, seed) -> IntRowSpan:
+    """Span of the given products in the coordinates of the target R_d.
+
+    A product of two basis monomials whose merged rows are a standard
+    chain below w is itself a basis element (standard monomial theory),
+    so every product made only of such terms goes in first, with no
+    straightening.  The other products follow, and only while the rank
+    is below dim R_d, which it cannot exceed; their non-standard terms
+    are straightened on demand, each distinct monomial once per call.
+    """
+    dim = len(target)
+    bound = target.w.values
+    coordinates: dict[Monomial, list[int]] = {}
+
+    def vector(terms: Product) -> list[int]:
+        vec = [0] * dim
+        for c, a, b in terms:
+            rows = _product_rows(a, b)
+            if rows not in coordinates:
+                if rows_are_standard(rows, bound):
+                    unit = [0] * dim
+                    unit[target.position(rows)] = 1
+                    coordinates[rows] = unit
+                else:
+                    coordinates[rows] = multiply_to_coordinates(a, b, target, seed=seed)
+            vec = [x + c * y for x, y in zip(vec, coordinates[rows])]
+        return vec
+
+    span = IntRowSpan(dim)
+    seen: set[tuple[int, ...]] = set()
+    deferred = []
+    for terms in products:
+        if all(rows_are_standard(_product_rows(a, b), bound) for _, a, b in terms):
+            vec = vector(terms)
+            key = tuple(vec)
+            if key not in seen:
+                seen.add(key)
+                span.add(vec)
+        else:
+            deferred.append(terms)
+    for terms in deferred:
+        if span.rank == dim:
+            break
+        span.add(vector(terms))
+    return span
+
+
 def _product_span(
     w: IndexTuple, d: int, target: GradedPieceBasis, seed
 ) -> IntRowSpan:
     """Span of all products R_a . R_b with a + b = d, a, b >= 1."""
-    span = IntRowSpan(len(target))
+    products = []
     for a in range(1, d // 2 + 1):
         b = d - a
         basis_a = invariant_basis(w, a)
         basis_b = basis_a if b == a else invariant_basis(w, b)
         for i, ta in enumerate(basis_a):
             start = i if a == b else 0
-            for tb in list(basis_b)[start:]:
-                span.add(multiply_to_coordinates(ta, tb, target, seed=seed))
-    return span
+            products.extend([(1, ta, tb)] for tb in basis_b.tableaux[start:])
+    return _span_of_products(products, target, seed)
 
 
 def normality_probe(w: IndexTuple, d: int, seed=0) -> NormalityReport:
@@ -187,67 +241,57 @@ def normality_probe(w: IndexTuple, d: int, seed=0) -> NormalityReport:
     )
 
 
+# A generated piece T_d as a list of elements, each a list of
+# (coefficient, basis tableau) terms.
+Piece = list[list[tuple[int, Tableau]]]
+
+
+def _whole_piece(basis: GradedPieceBasis) -> Piece:
+    return [[(1, t)] for t in basis]
+
+
+def _generated_span(
+    generated: dict[int, Piece], bases: dict[int, GradedPieceBasis], d: int, seed
+) -> IntRowSpan:
+    """Span of T_d = T_{d-1}.R_1 + T_{d-2}.R_2 (the second for d >= 4) in R_d."""
+    pieces = [(d - 1, 1)] + ([(d - 2, 2)] if d >= 4 else [])
+    products = [
+        [(c, ta, tb) for c, ta in element]
+        for a, b in pieces
+        for element in generated[a]
+        for tb in bases[b]
+    ]
+    return _span_of_products(products, bases[d], seed)
+
+
 def generation_degree_probe(w: IndexTuple, k_max: int, seed=0) -> list[GenerationReport]:
     """Check degree by degree that degree <= 2 elements generate.
 
     T_1, T_2 are the full graded pieces; for d >= 3 the generated piece
     is T_d = T_{d-1}.R_1 + T_{d-2}.R_2, and the report records whether
-    it equals R_d.
+    it equals R_d.  A piece equal to R_d is carried to the next degree
+    as the basis monomials, any other as integer rows of its span.
     """
     if k_max < 3:
         raise ValueError("k_max must be >= 3")
     bases = {d: invariant_basis(w, d) for d in range(1, k_max + 1)}
-    tables: dict[tuple[int, int], dict[tuple[int, int], list[int]]] = {}
-
-    def table(a: int, b: int) -> dict[tuple[int, int], list[int]]:
-        if (a, b) not in tables:
-            entries = {}
-            for i, ta in enumerate(bases[a]):
-                for j, tb in enumerate(bases[b]):
-                    if a == b and (j, i) in entries:
-                        entries[(i, j)] = entries[(j, i)]
-                        continue
-                    entries[(i, j)] = multiply_to_coordinates(
-                        ta, tb, bases[a + b], seed=seed
-                    )
-            tables[(a, b)] = entries
-        return tables[(a, b)]
-
-    # spanning integer rows of the generated subspace, per degree
-    generated: dict[int, list[list[int]]] = {}
-    for d in (1, 2):
-        if d <= k_max:
-            dim = len(bases[d])
-            generated[d] = [
-                [1 if i == j else 0 for j in range(dim)] for i in range(dim)
-            ]
-
+    generated = {d: _whole_piece(bases[d]) for d in (1, 2)}
     reports = []
     for d in range(3, k_max + 1):
-        dim = len(bases[d])
-        span = IntRowSpan(dim)
-        pieces = [(d - 1, 1)]
-        if d - 2 >= 2:
-            pieces.append((d - 2, 2))
-        for a, b in pieces:
-            mult = table(a, b)
-            for vec in generated[a]:
-                for j in range(len(bases[b])):
-                    out = [0] * dim
-                    for i, vi in enumerate(vec):
-                        if vi:
-                            entry = mult[(i, j)]
-                            for pos in range(dim):
-                                if entry[pos]:
-                                    out[pos] += vi * entry[pos]
-                    span.add(out)
-        generated[d] = span.rows()
+        target = bases[d]
+        span = _generated_span(generated, bases, d, seed)
+        spanned = span.rank == len(target)
+        generated[d] = (
+            _whole_piece(target)
+            if spanned
+            else [[(c, t) for c, t in zip(row, target) if c] for row in span.rows()]
+        )
         reports.append(
             GenerationReport(
                 degree=d,
-                dim_graded_piece=dim,
+                dim_graded_piece=len(target),
                 dim_generated=span.rank,
-                spanned=span.rank == dim,
+                spanned=spanned,
             )
         )
     return reports

@@ -3,7 +3,8 @@
 Everything here recomputes expected values by a route different from the
 implementation under test: brute-force enumeration over all row
 multisets, simple-reflection action on value sets, and function-level
-rank computations straight from the determinant oracle.
+rank computations straight from the determinant oracle, and span
+probes that straighten every product.
 """
 
 import itertools
@@ -11,6 +12,13 @@ import random
 from fractions import Fraction
 
 from schubert_smt import make_index_tuple, make_tableau
+from schubert_smt.invariant_ring import (
+    GenerationReport,
+    NormalityReport,
+    invariant_basis,
+    multiply_to_coordinates,
+)
+from schubert_smt.linalg import IntRowSpan
 from schubert_smt.plucker import evaluate, random_schubert_point
 
 
@@ -156,3 +164,76 @@ def function_rank(polys, w, n_points, seed_tag):
 
 def tab(rows, n):
     return make_tableau(make_index_tuple(row, n) for row in rows)
+
+
+def reference_normality_probe(w, d, seed=0):
+    """`normality_probe` with every product R_a . R_b straightened."""
+    target = invariant_basis(w, d)
+    span = IntRowSpan(len(target))
+    for a in range(1, d // 2 + 1):
+        b = d - a
+        basis_a = invariant_basis(w, a)
+        basis_b = basis_a if b == a else invariant_basis(w, b)
+        for i, ta in enumerate(basis_a):
+            start = i if a == b else 0
+            for tb in list(basis_b)[start:]:
+                span.add(multiply_to_coordinates(ta, tb, target, seed=seed))
+    spanned = span.rank == len(target)
+    witnesses = []
+    if not spanned:
+        for pos, t in enumerate(target):
+            unit = [0] * len(target)
+            unit[pos] = 1
+            if not span.contains(unit):
+                witnesses.append(t)
+    return NormalityReport(
+        w=w,
+        degree=d,
+        dim_lower_products=span.rank,
+        dim_graded_piece=len(target),
+        spanned=spanned,
+        cokernel_witnesses=tuple(witnesses),
+    )
+
+
+def reference_generation_probe(w, k_max, seed=0):
+    """`generation_degree_probe` from eager tables of every straightened
+    product of two basis monomials, with each generated piece carried
+    as the integer rows of its span."""
+    bases = {d: invariant_basis(w, d) for d in range(1, k_max + 1)}
+    tables = {}
+
+    def table(a, b):
+        if (a, b) not in tables:
+            tables[(a, b)] = {
+                (i, j): multiply_to_coordinates(ta, tb, bases[a + b], seed=seed)
+                for i, ta in enumerate(bases[a])
+                for j, tb in enumerate(bases[b])
+            }
+        return tables[(a, b)]
+
+    generated = {
+        d: [[int(i == j) for j in range(len(bases[d]))] for i in range(len(bases[d]))]
+        for d in (1, 2)
+    }
+    reports = []
+    for d in range(3, k_max + 1):
+        dim = len(bases[d])
+        span = IntRowSpan(dim)
+        pieces = [(d - 1, 1)] + ([(d - 2, 2)] if d >= 4 else [])
+        for a, b in pieces:
+            mult = table(a, b)
+            for vec in generated[a]:
+                for j in range(len(bases[b])):
+                    out = [0] * dim
+                    for i, vi in enumerate(vec):
+                        if vi:
+                            out = [x + vi * y for x, y in zip(out, mult[(i, j)])]
+                    span.add(out)
+        generated[d] = span.rows()
+        reports.append(
+            GenerationReport(
+                degree=d, dim_graded_piece=dim, dim_generated=span.rank, spanned=span.rank == dim
+            )
+        )
+    return reports

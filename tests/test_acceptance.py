@@ -1,12 +1,10 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail
 line with its elapsed time and asserting the stated runtime budget.
 
-All comparisons are exact (integer/rational arithmetic throughout); the
-heavier rank-four generation check is gated behind SCHUBERT_SMT_HEAVY.
+All comparisons are exact (integer/rational arithmetic throughout).
 """
 
 import itertools
-import os
 import random
 import time
 from contextlib import contextmanager
@@ -38,8 +36,6 @@ from schubert_smt.plucker import (
     _interpolation_cell,
 )
 from schubert_smt.verifier import _check_quotient_dimensions
-
-HEAVY = bool(os.environ.get("SCHUBERT_SMT_HEAVY"))
 
 
 @contextmanager
@@ -119,15 +115,13 @@ def test_criterion_04_quotient_hilbert_data():
 
 def test_criterion_05_generation_in_degree_two():
     budget = 60.0
-    label = "graded pieces are generated in degree two (n=3, d=3..4"
-    label += "; n=4, d=3)" if HEAVY else "; rank-four part gated off)"
+    label = "graded pieces are generated in degree two (n=3, d=3..4; n=4, d=3)"
     with criterion(5, label, budget):
         reports = generation_degree_probe(distinguished_w(5, 3), 4)
         assert [r.degree for r in reports] == [3, 4]
         assert all(r.spanned for r in reports)
-        if HEAVY:
-            reports = generation_degree_probe(distinguished_w(5, 4), 3)
-            assert all(r.spanned for r in reports)
+        reports = generation_degree_probe(distinguished_w(5, 4), 3)
+        assert all(r.spanned for r in reports)
 
 
 def test_criterion_06_exchange_identity_suite():

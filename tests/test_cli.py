@@ -304,6 +304,15 @@ class TestProbeCommand:
         payload = json.loads(out)
         assert all(d["spanned"] for d in payload["degrees"])
 
+    def test_generation_probe_at_rank_five(self, capsys):
+        # exited 3 while the probe straightened every product
+        code, out, _ = run_cli(
+            capsys,
+            ["probe", "--w", "2,4,8,9,10", "--mode", "generation", "--k-max", "3", "--seed", "0"],
+        )
+        assert code == EXIT_OK
+        assert out == "degree 3: spanned=True (40/40)\n"
+
     def test_bad_arguments_exit_2(self, capsys):
         code, _, _ = run_cli(capsys, ["probe", "--w", "4,5,6", "--degree", "1"])
         assert code == EXIT_USAGE

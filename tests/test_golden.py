@@ -6,13 +6,10 @@ Each `tests/golden/<name>.txt` holds the standard output of one call of
 change meant to alter output regenerates the files with
 
     PYTHONPATH=src python tests/test_golden.py
-
-The generation probe to degree 4 runs only with SCHUBERT_SMT_HEAVY set.
 """
 
 import contextlib
 import io
-import os
 import sys
 from pathlib import Path
 
@@ -21,7 +18,6 @@ import pytest
 from schubert_smt.cli import EXIT_OK, main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
-HEAVY = bool(os.environ.get("SCHUBERT_SMT_HEAVY"))
 
 
 def _verify(n, seed):
@@ -43,6 +39,9 @@ CALLS = {
     "probe_generation_456_k3": [
         "probe", "--w", "4,5,6", "--n2n", "6", "--mode", "generation", "--k-max", "3", "--json",
     ],
+    "probe_generation_456_k4": [
+        "probe", "--w", "4,5,6", "--n2n", "6", "--mode", "generation", "--k-max", "4", "--json",
+    ],
     "probe_normality_24678": ["probe", "--w", "2,4,6,7,8", "--mode", "normality", "--json"],
     "basis_invariant_456_k2": ["basis", "--w", "4,5,6", "--n2n", "6", "--k", "2", "--json"],
     "basis_all_246_k1": ["basis", "--w", "2,4,6", "--k", "1", "--all", "--json"],
@@ -51,11 +50,6 @@ CALLS = {
         "straighten_product_relation", "--bound", "4,5,6", "--n2n", "6", "--json"
     ),
     "straighten_two_weights": _straighten("straighten_two_weights", "--seed", "3"),
-}
-HEAVY_CALLS = {
-    "probe_generation_456_k4": [
-        "probe", "--w", "4,5,6", "--n2n", "6", "--mode", "generation", "--k-max", "4", "--json",
-    ],
 }
 
 
@@ -72,13 +66,7 @@ def test_output_is_pinned(name):
     assert run(CALLS[name]) == (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
 
 
-@pytest.mark.skipif(not HEAVY, reason="set SCHUBERT_SMT_HEAVY=1")
-@pytest.mark.parametrize("name", sorted(HEAVY_CALLS))
-def test_heavy_output_is_pinned(name):
-    assert run(HEAVY_CALLS[name]) == (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
-
-
 if __name__ == "__main__":
-    for name, argv in {**CALLS, **HEAVY_CALLS}.items():
+    for name, argv in CALLS.items():
         (GOLDEN / f"{name}.txt").write_text(run(argv), encoding="utf-8")
         print(f"wrote {name}.txt", file=sys.stderr)

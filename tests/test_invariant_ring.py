@@ -21,8 +21,32 @@ from schubert_smt import (
     top_element,
 )
 from schubert_smt import build_generators
+from schubert_smt import invariant_ring, plucker
 
-from helpers import brute_force_standard, function_rank, tableaux_rows
+from helpers import (
+    brute_force_standard,
+    function_rank,
+    reference_generation_probe,
+    reference_normality_probe,
+    tableaux_rows,
+)
+
+HEAVY = bool(os.environ.get("SCHUBERT_SMT_HEAVY"))
+I36 = [make_index_tuple(v, 6) for v in itertools.combinations(range(1, 7), 3)]
+
+
+@pytest.fixture
+def straightened_products(monkeypatch):
+    """The products the probes straighten, recorded as (a, b) pairs."""
+    calls = []
+    original = invariant_ring.multiply_to_coordinates
+
+    def recording(a, b, target, seed=0):
+        calls.append((a, b))
+        return original(a, b, target, seed=seed)
+
+    monkeypatch.setattr(invariant_ring, "multiply_to_coordinates", recording)
+    return calls
 
 
 class TestInvariantBasis:
@@ -163,8 +187,7 @@ class TestNormalityProbe:
         assert expected <= witness_rows
 
     @pytest.mark.skipif(
-        not os.environ.get("SCHUBERT_SMT_HEAVY"),
-        reason="heavier full-Grassmannian probe; set SCHUBERT_SMT_HEAVY=1",
+        not HEAVY, reason="heavier full-Grassmannian probe; set SCHUBERT_SMT_HEAVY=1"
     )
     def test_corollary_on_the_full_grassmannian_at_rank_four(self):
         report = normality_probe(top_element(4, 8), 2)
@@ -194,6 +217,78 @@ class TestGenerationProbe:
     def test_rejects_small_k_max(self):
         with pytest.raises(ValueError):
             generation_degree_probe(distinguished_w(5, 3), 2)
+
+
+class TestSpanProbeMechanism:
+    """The probes add standard products as unit vectors and straighten
+    the others only while the span is short of R_d."""
+
+    def test_degree_four_generation_builds_no_cell(self, straightened_products):
+        plucker._interpolation_cell.cache_clear()
+        reports = generation_degree_probe(distinguished_w(5, 3), 4)
+        assert [(r.dim_generated, r.dim_graded_piece) for r in reports] == [(40, 40), (85, 85)]
+        assert plucker._interpolation_cell.cache_info().misses == 0
+        assert straightened_products == []
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_normality_straightens_the_one_nonstandard_product(self, n, straightened_products):
+        report = normality_probe(distinguished_w(5, n), 2)
+        assert (report.dim_lower_products, report.dim_graded_piece) == (15, 16)
+        assert len(straightened_products) == 1
+        (a, b), = straightened_products
+        rows = tuple(sorted(a.row_values() + b.row_values()))
+        assert not plucker.rows_are_standard(rows, distinguished_w(5, n).values)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_generation_at_rank_five(self, seed):
+        # straightening every product built a degree-6 cell here whose
+        # sample matrix was rank-deficient on seeds 0 to 2
+        reports = generation_degree_probe(distinguished_w(5, 5), 3, seed=seed)
+        assert [r.to_dict() for r in reports] == [
+            {"degree": 3, "dim_graded_piece": 40, "dim_generated": 40, "spanned": True, "cokernel_dim": 0}
+        ]
+
+
+class TestSpanProbesMatchTheReference:
+    """Whole reports agree with probes that straighten every product."""
+
+    @pytest.mark.parametrize("w", I36, ids=lambda w: "".join(map(str, w.values)))
+    def test_generation_to_degree_four(self, w):
+        assert generation_degree_probe(w, 4) == reference_generation_probe(w, 4)
+
+    @pytest.mark.parametrize(
+        "w",
+        I36 + [distinguished_w(5, 4), make_index_tuple((3, 6, 7, 8), 8)],
+        ids=lambda w: "".join(map(str, w.values)),
+    )
+    def test_normality_in_degree_two(self, w):
+        assert normality_probe(w, 2) == reference_normality_probe(w, 2)
+
+    def test_generated_piece_given_by_combinations(self, straightened_products):
+        # R_2 on X(w5) as the rows of a unimodular upper-triangular
+        # matrix: every product but those of the last row has several
+        # terms, and non-standard ones among them
+        w = distinguished_w(5, 3)
+        bases = {d: invariant_basis(w, d) for d in (1, 2, 3)}
+        rows = bases[2].tableaux
+        combinations = [[(1, t) for t in rows[i:]] for i in range(len(rows))]
+        unit = invariant_ring._generated_span(
+            {1: invariant_ring._whole_piece(bases[1]), 2: invariant_ring._whole_piece(bases[2])},
+            bases, 3, seed=0,
+        )
+        assert straightened_products == []
+        combined = invariant_ring._generated_span(
+            {1: invariant_ring._whole_piece(bases[1]), 2: combinations}, bases, 3, seed=0
+        )
+        assert straightened_products
+        assert combined.rank == unit.rank == len(bases[3]) == 40
+
+    @pytest.mark.skipif(not HEAVY, reason="straightens in a B = 112 cell; set SCHUBERT_SMT_HEAVY=1")
+    def test_generation_where_standard_products_fall_short(self, straightened_products):
+        # 109 of the 112 degree-three basis elements are standard products
+        reports = generation_degree_probe(make_index_tuple((3, 5, 7, 8), 8), 3)
+        assert [(r.dim_generated, r.dim_graded_piece) for r in reports] == [(112, 112)]
+        assert straightened_products
 
 
 class TestHilbertSeries:
