@@ -111,18 +111,29 @@ def _parse_w(text: str, n2n: int | None) -> IndexTuple:
 def _emit(payload: dict, text_lines: list[str], args) -> None:
     out = json.dumps(payload, indent=2) if args.json else "\n".join(text_lines)
     if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(out + "\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(out + "\n")
+        except OSError as exc:
+            raise DocumentError(f"cannot write {args.out}: {exc}") from exc
     else:
         print(out)
 
 
+def _read_input(path: str) -> str:
+    """The text of an input document, from a file or from stdin for '-'."""
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        source = "stdin" if path == "-" else path
+        raise DocumentError(f"cannot read {source}: {exc}") from exc
+
+
 def _cmd_straighten(args) -> int:
-    if args.input == "-":
-        raw = sys.stdin.read()
-    else:
-        with open(args.input, encoding="utf-8") as fh:
-            raw = fh.read()
+    raw = _read_input(args.input)
     try:
         doc = json.loads(raw)
     except json.JSONDecodeError as exc:
@@ -286,7 +297,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except FileNotFoundError as exc:
+    except DocumentError as exc:  # the input could not be read or the output written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # keep the exit-code contract for unexpected failures

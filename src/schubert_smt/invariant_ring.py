@@ -6,12 +6,17 @@ every value 1..2r occurs exactly k times.  All probes below reduce to
 exact linear algebra in these coordinates.
 """
 
-from dataclasses import dataclass, field
-
+from ._record import Record
 from .lattice import IndexTuple
 from .linalg import IntRowSpan
-from .plucker import Monomial, PluckerPolynomial, rows_are_standard, straighten
-from .tableaux import Tableau, enumerate_standard, is_standard, is_torus_invariant
+from .plucker import (
+    Monomial,
+    PluckerPolynomial,
+    _standard_basis,
+    rows_are_standard,
+    straighten,
+)
+from .tableaux import Tableau, is_standard, is_torus_invariant
 
 
 class BasisMismatchError(RuntimeError):
@@ -19,14 +24,19 @@ class BasisMismatchError(RuntimeError):
     weight and standardness are preserved, this signals a bug."""
 
 
-@dataclass(frozen=True)
-class GradedPieceBasis:
-    """Canonical-ordered basis of R_k on X(w), with coordinate lookup."""
+class GradedPieceBasis(Record):
+    """Canonical-ordered basis of R_k on X(w), with coordinate lookup.
 
+    `index` maps each tableau's rows to its position; it is derived from
+    the tableaux, so equality and hashing leave it out.
+    """
+
+    __slots__ = ("w", "k", "tableaux", "index")
+    _compared = ("w", "k", "tableaux")
     w: IndexTuple
     k: int
     tableaux: tuple[Tableau, ...]
-    index: dict[Monomial, int] = field(compare=False)
+    index: dict[Monomial, int]
 
     def __len__(self):
         return len(self.tableaux)
@@ -40,8 +50,15 @@ class GradedPieceBasis:
         return self.index[rows]
 
 
-@dataclass(frozen=True)
-class NormalityReport:
+class NormalityReport(Record):
+    __slots__ = (
+        "w",
+        "degree",
+        "dim_lower_products",
+        "dim_graded_piece",
+        "spanned",
+        "cokernel_witnesses",
+    )
     w: IndexTuple
     degree: int
     dim_lower_products: int
@@ -67,8 +84,8 @@ class NormalityReport:
         }
 
 
-@dataclass(frozen=True)
-class GenerationReport:
+class GenerationReport(Record):
+    __slots__ = ("degree", "dim_graded_piece", "dim_generated", "spanned")
     degree: int
     dim_graded_piece: int
     dim_generated: int
@@ -88,8 +105,8 @@ class GenerationReport:
         }
 
 
-@dataclass(frozen=True)
-class SemistableReport:
+class SemistableReport(Record):
+    __slots__ = ("w", "found", "witness", "degree", "cap")
     w: IndexTuple
     found: bool
     witness: Tableau | None
@@ -107,15 +124,20 @@ class SemistableReport:
 
 
 def invariant_basis(w: IndexTuple, k: int) -> GradedPieceBasis:
-    """Basis of the degree-k invariants on X(w): constant content k, 2k rows."""
+    """Basis of the degree-k invariants on X(w): constant content k, 2k rows.
+
+    The rows come from the standard-basis cache that straightening uses,
+    so each basis is enumerated once per process.
+    """
     if k < 1:
         raise ValueError("degree must be >= 1")
     if w.n != 2 * w.r:
         raise ValueError(f"invariants of the doubled weight need n = 2r, got ({w.r}, {w.n})")
+    basis = _standard_basis(w.r, w.n, 2 * k, (k,) * w.n, w)
     tableaux = tuple(
-        enumerate_standard(2 * k, w.r, w.n, bound=w, content=(k,) * w.n)
+        Tableau(tuple(IndexTuple(row, w.n) for row in rows)) for rows in basis
     )
-    index = {t.row_values(): i for i, t in enumerate(tableaux)}
+    index = {rows: i for i, rows in enumerate(basis)}
     return GradedPieceBasis(w=w, k=k, tableaux=tableaux, index=index)
 
 

@@ -9,31 +9,44 @@ all arithmetic stays in ZZ.
 """
 
 import itertools
-from dataclasses import dataclass
+from operator import lt
+
+from ._record import Record, _set
 
 WeightVector = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class IndexTuple:
+class IndexTuple(Record):
     """A strictly increasing r-tuple with entries in 1..n.
 
     Doubles as a Pluecker index and as a minimal coset representative
     for the quotient of the symmetric group by a maximal parabolic.
+    It keys the point, basis and cell caches, so its constructor,
+    equality and hash are written out.
     """
 
+    __slots__ = ("values", "n")
     values: tuple[int, ...]
     n: int
 
-    def __post_init__(self):
-        vals = tuple(int(v) for v in self.values)
-        object.__setattr__(self, "values", vals)
+    def __init__(self, values, n: int):
+        vals = tuple(map(int, values))
         if not vals:
             raise ValueError("index tuple must be nonempty")
-        if any(v < 1 or v > self.n for v in vals):
-            raise ValueError(f"values {vals} out of range 1..{self.n}")
-        if any(a >= b for a, b in zip(vals, vals[1:])):
+        if min(vals) < 1 or max(vals) > n:
+            raise ValueError(f"values {vals} out of range 1..{n}")
+        if not all(map(lt, vals, vals[1:])):
             raise ValueError(f"values {vals} not strictly increasing")
+        _set(self, "values", vals)
+        _set(self, "n", n)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.values == other.values and self.n == other.n
+
+    def __hash__(self):
+        return hash((self.values, self.n))
 
     @property
     def r(self) -> int:

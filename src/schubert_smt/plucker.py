@@ -18,9 +18,9 @@ exchange relation is still available as a relation generator.
 """
 
 import random
-from dataclasses import dataclass
 from functools import lru_cache
 
+from ._record import Record
 from .lattice import IndexTuple
 from .linalg import GaussSolver, det_int, rank_int
 from .tableaux import enumerate_standard
@@ -404,8 +404,8 @@ def random_point(r: int, n: int, seed) -> Matrix:
 # -- straightening -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Cell:
+class _Cell(Record):
+    __slots__ = ("basis", "points", "holdout", "solver")
     basis: tuple[Monomial, ...]
     points: tuple[MinorTable, ...]
     holdout: tuple[MinorTable, ...]

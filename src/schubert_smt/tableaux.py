@@ -7,26 +7,37 @@ representative), which for rectangular shapes is equivalent to the
 usual strict-rows / weak-columns filling condition.
 """
 
-from dataclasses import dataclass
-
+from ._record import Record, _set
 from .lattice import IndexTuple, leq_componentwise
 
 
-@dataclass(frozen=True)
-class Tableau:
-    """Row list of IndexTuples, all sharing the same (r, n)."""
+class Tableau(Record):
+    """Row list of IndexTuples, all sharing the same (r, n).
 
+    Enumeration builds one per output tableau, so its constructor,
+    equality and hash are written out.
+    """
+
+    __slots__ = ("rows",)
     rows: tuple[IndexTuple, ...]
 
-    def __post_init__(self):
-        rows = tuple(self.rows)
-        object.__setattr__(self, "rows", rows)
+    def __init__(self, rows):
+        rows = tuple(rows)
         if not rows:
             raise ValueError("tableau needs at least one row")
         r, n = rows[0].r, rows[0].n
         for row in rows[1:]:
             if row.r != r or row.n != n:
                 raise ValueError("rows are not homogeneous in (r, n)")
+        _set(self, "rows", rows)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.rows == other.rows
+
+    def __hash__(self):
+        return hash((self.rows,))
 
     @property
     def r(self) -> int:

@@ -7,9 +7,9 @@ global sign per identity, which is recorded rather than silently fixed;
 everything else is compared on the nose.
 """
 
-from dataclasses import dataclass
 from math import comb
 
+from ._record import Record
 from .invariant_ring import (
     hilbert_series,
     invariant_basis,
@@ -21,8 +21,8 @@ from .plucker import PluckerPolynomial, plucker_relation, random_schubert_point,
 from .tableaux import Tableau, is_standard, is_torus_invariant, make_tableau
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(Record):
+    __slots__ = ("name", "n", "status", "details", "seed")
     name: str
     n: int | None
     status: str  # "pass" | "fail"
@@ -43,11 +43,11 @@ class VerificationReport:
         }
 
 
-@dataclass(frozen=True)
-class QuotientGenerators:
+class QuotientGenerators(Record):
     """The five degree-one invariants spanning R_1 on the big Schubert
     variety, and the two degree-two invariants that are not products."""
 
+    __slots__ = ("deg1", "deg2")
     deg1: tuple[Tableau, ...]
     deg2: tuple[Tableau, ...]
 

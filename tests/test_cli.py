@@ -1,3 +1,4 @@
+import io
 import json
 
 import pytest
@@ -187,6 +188,35 @@ class TestStraightenCommand:
         _, out1, _ = run_cli(capsys, ["straighten", "--input", path, "--json"])
         _, out2, _ = run_cli(capsys, ["straighten", "--input", path, "--json"])
         assert out1 == out2
+
+
+class TestUnreadableInputAndUnwritableOutput:
+    """An input that cannot be read or decoded, or an output that cannot be
+    written, is an input error: exit 2 with "error: ..."."""
+
+    @pytest.mark.parametrize(
+        "case",
+        ["missing_input", "input_is_a_directory", "out_is_a_directory", "undecodable_input"],
+    )
+    def test_exits_2(self, tmp_path, capsys, case):
+        undecodable = tmp_path / "undecodable.json"
+        undecodable.write_bytes(b"\xff\xfe")
+        argv = {
+            "missing_input": ["straighten", "--input", str(tmp_path / "absent.json")],
+            "input_is_a_directory": ["straighten", "--input", str(tmp_path)],
+            "out_is_a_directory": ["verify", "--case", "remarks", "--out", str(tmp_path)],
+            "undecodable_input": ["straighten", "--input", str(undecodable)],
+        }[case]
+        code, _, err = run_cli(capsys, argv)
+        assert code == EXIT_USAGE
+        assert err.startswith("error: ") and "internal error" not in err
+
+    def test_undecodable_stdin_exits_2(self, capsys, monkeypatch):
+        stdin = io.TextIOWrapper(io.BytesIO(b"\xff\xfe"), encoding="utf-8")
+        monkeypatch.setattr("sys.stdin", stdin)
+        code, _, err = run_cli(capsys, ["straighten", "--input", "-"])
+        assert code == EXIT_USAGE
+        assert err.startswith("error: cannot read stdin")
 
 
 class TestBasisCommand:

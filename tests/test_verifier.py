@@ -3,10 +3,11 @@ from importlib import resources
 
 import pytest
 
-from schubert_smt import plucker
+from schubert_smt import invariant_ring, plucker
 from schubert_smt import (
     build_generators,
     distinguished_w,
+    enumerate_standard,
     invariant_basis,
     is_standard,
     is_torus_invariant,
@@ -237,3 +238,26 @@ class TestRunCases:
         finally:
             for cache in caches:
                 cache.cache_clear()
+
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_each_basis_is_enumerated_once(self, n, monkeypatch):
+        # invariant_basis reads the standard-basis cache that straightening
+        # fills, so no (w, k) basis is enumerated twice in one call
+        calls = []
+
+        def recording(*args, **kwargs):
+            calls.append((args, tuple(sorted(kwargs.items()))))
+            return enumerate_standard(*args, **kwargs)
+
+        for module in (plucker, invariant_ring):
+            if hasattr(module, "enumerate_standard"):
+                monkeypatch.setattr(module, "enumerate_standard", recording)
+        caches = (plucker._interpolation_cell, plucker._point, plucker._standard_basis)
+        for cache in caches:
+            cache.cache_clear()
+        try:
+            run_cases("all", n)
+        finally:
+            for cache in caches:
+                cache.cache_clear()
+        assert len(calls) == len(set(calls)) == 22
