@@ -180,7 +180,7 @@ def test_criterion_09_oracle_property_suite():
         # (c) every interpolation cell that was exercised reached full
         # column rank (cached, so these lookups rebuild nothing)
         for degree, cont in cells_used:
-            cell = _interpolation_cell(3, 6, degree, cont, None, 0, 0)
+            cell = _interpolation_cell(3, 6, degree, cont, None, 0)
             if cell.basis:
                 assert cell.solver is not None and cell.solver.ok
 

@@ -1,5 +1,6 @@
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +15,9 @@ from schubert_smt.cli import (
     save_polynomial_document,
 )
 from schubert_smt.plucker import PluckerPolynomial
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def run_cli(capsys, argv):
@@ -286,6 +290,16 @@ class TestVerifyCommand:
         )
         assert code == EXIT_OK
         assert json.loads(out)["all_pass"]
+
+    @pytest.mark.parametrize("n, seed", [(5, 4200132), (6, 9)])
+    def test_seeds_whose_first_sample_is_short_pass(self, capsys, n, seed):
+        # a cell of each call is rank-deficient at B + 8 points and grows;
+        # the answers do not depend on the seed
+        argv = ["verify", "--case", "all", "--n", str(n), "--seed", str(seed), "--json"]
+        code, out, _ = run_cli(capsys, argv)
+        assert code == EXIT_OK
+        golden = (GOLDEN / f"verify_n{n}_seed0.txt").read_text()
+        assert out == golden.replace('"seed": 0', f'"seed": {seed}')
 
     def test_failure_exits_1(self, capsys, monkeypatch):
         import schubert_smt.verifier as verifier_mod

@@ -172,6 +172,13 @@ class TestNormalityProbe:
         assert normality_probe(distinguished_w(4, 3), 2).spanned
         assert normality_probe(distinguished_w(1, 3), 2).spanned
 
+    def test_spanned_at_rank_six_where_the_first_sample_is_short(self):
+        # at seed 0 the probe's B = 30 cell is rank-deficient at B + 8
+        # points and grows
+        report = normality_probe(make_index_tuple((3, 5, 6, 9, 10, 12), 12), 2)
+        assert report.spanned
+        assert report.dim_lower_products == report.dim_graded_piece == 30
+
     def test_witnesses_empty_when_spanned(self):
         report = normality_probe(distinguished_w(4, 3), 2)
         assert report.cokernel_witnesses == ()

@@ -20,7 +20,13 @@ from schubert_smt import (
     two_row_exchange,
 )
 from schubert_smt import plucker
-from schubert_smt.plucker import MinorTable, monomial_content, rows_are_standard
+from schubert_smt.linalg import GaussSolver
+from schubert_smt.plucker import (
+    MinorTable,
+    StraighteningError,
+    monomial_content,
+    rows_are_standard,
+)
 
 from helpers import fraction_det, leibniz_det, reference_schubert_point
 
@@ -314,8 +320,10 @@ class TestStraighten:
         assert straighten(f) == f
 
     def test_rank_deficiency_is_diagnosable(self, monkeypatch):
-        # One sample fewer than the basis size: every attempt is rank-deficient.
-        monkeypatch.setattr(plucker, "EXTRA_SAMPLES", -1)
+        # One point for every tag: the sample never reaches rank B = 2, so
+        # the cell grows to its cap of 8 (B + 8) points and names the rank.
+        fixed = MinorTable(random_point(2, 4, "fixed"))
+        monkeypatch.setattr(plucker, "_point", lambda *args: fixed)
         plucker._interpolation_cell.cache_clear()
         try:
             with pytest.raises(RankDeficientError) as err:
@@ -324,10 +332,50 @@ class TestStraighten:
             plucker._interpolation_cell.cache_clear()
         message = str(err.value)
         assert "(degree=2, content=(1, 1, 1, 1)) cell" in message
-        assert "basis size B=2, 1 sample points" in message
-        for attempt in range(plucker.MAX_RESEEDINGS + 1):
-            assert f"attempt {attempt}: sample matrix rank-deficient" in message
-        assert "inconsistent" not in message and "holdout" not in message
+        assert "rank 1 < B=2 at 80 sample points" in message
+
+    def test_short_sample_grows_to_full_rank(self):
+        # the degree-4 cell of the rank-five lemma at this seed is
+        # rank-deficient at B + 8 = 24 points; 8 more make it full rank
+        w = distinguished_w(5, 5)
+        seed = 4200132
+        plucker._interpolation_cell.cache_clear()
+        cell = plucker._interpolation_cell(5, 10, 4, (2,) * 10, w, seed)
+        plucker._interpolation_cell.cache_clear()
+        size = len(cell.basis)
+        assert size == 16 and len(cell.points) == size + 2 * plucker.EXTRA_SAMPLES
+        assert cell.solver.ok
+        for idx, point in enumerate(cell.points):
+            assert point.columns == plucker._point(5, 10, w, f"{seed}:cell:0:{idx}").columns
+        matrix = [[plucker.monomial_value(b, m) for b in cell.basis] for m in cell.points]
+        assert not GaussSolver(matrix[:size + plucker.EXTRA_SAMPLES]).ok
+
+    def test_back_check_catches_a_wrong_integral_solution(self, monkeypatch):
+        original = GaussSolver.solve
+
+        def shifted(self, rhs):
+            numerators, d = original(self, rhs)
+            return [numerators[0] + d] + numerators[1:], d
+
+        monkeypatch.setattr(GaussSolver, "solve", shifted)
+        with pytest.raises(StraighteningError, match="back-check"):
+            straighten(PluckerPolynomial.monomial(((1, 4), (2, 3)), 4), seed=1)
+
+    def test_inconsistent_system_fails_at_once(self, monkeypatch):
+        # without ((1, 3), (2, 4)) the basis cannot express p14 p23, and
+        # more points cannot change that
+        original = plucker._standard_basis
+        monkeypatch.setattr(plucker, "_standard_basis", lambda *args: original(*args)[:-1])
+        sampled = []
+        point = plucker._point
+        monkeypatch.setattr(plucker, "_point", lambda *args: sampled.append(args) or point(*args))
+        plucker._interpolation_cell.cache_clear()
+        try:
+            with pytest.raises(StraighteningError, match="inconsistent"):
+                straighten(PluckerPolynomial.monomial(((1, 4), (2, 3)), 4), seed=1)
+        finally:
+            plucker._interpolation_cell.cache_clear()
+        assert len(sampled) == 1 + plucker.EXTRA_SAMPLES
 
     @pytest.mark.parametrize("bound", [None, distinguished_w(5, 3)])
     def test_two_content_polynomial_samples_each_point_once(self, monkeypatch, bound):
@@ -363,7 +411,7 @@ class TestStraighten:
                 cache.cache_clear()
         assert not g.is_zero()
         assert len(tags) == len(set(tags))
-        assert len(tags) == max(sizes) + plucker.EXTRA_SAMPLES + plucker.HOLDOUT_POINTS
+        assert len(tags) == max(sizes) + plucker.EXTRA_SAMPLES
 
     def test_idempotent_term_for_term(self):
         f = PluckerPolynomial.monomial(((1, 4), (2, 3)), 4)

@@ -37,9 +37,9 @@ CASES = {
     IndexTuple: (("values", "n"), ((2, 4, 6), 6), ((2, 4, 5), 6)),
     Tableau: (("rows",), (T1.rows,), (T2.rows,)),
     _Cell: (
-        ("basis", "points", "holdout", "solver"),
-        ((T1.row_values(),), (), (), None),
-        ((T2.row_values(),), (), (), None),
+        ("basis", "points", "solver"),
+        ((T1.row_values(),), (), None),
+        ((T2.row_values(),), (), None),
     ),
     GradedPieceBasis: (
         ("w", "k", "tableaux", "index"),
