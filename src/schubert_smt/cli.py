@@ -3,8 +3,10 @@ and the bundled verification suite.
 
 JSON is the single wire format; coefficients travel as decimal strings
 so fixtures stay unambiguous across languages.  Exit codes: 0 success
-or all checks passed, 1 verification failure, 2 usage or input error,
-3 internal error.
+or all checks passed, 1 verification failure, 2 usage or input error
+(a DocumentError or any other ValueError), 3 internal error (any other
+exception).  The subcommands raise; `main` alone maps an exception to
+its exit code.
 """
 
 import argparse
@@ -18,7 +20,7 @@ from .invariant_ring import (
     normality_probe,
 )
 from .lattice import IndexTuple
-from .plucker import PluckerPolynomial, RankDeficientError, straighten
+from .plucker import PluckerPolynomial, straighten
 from .tableaux import enumerate_standard
 from .verifier import CASE_NAMES, run_cases
 
@@ -42,7 +44,8 @@ def load_polynomial_document(doc: dict) -> PluckerPolynomial:
 
     r and n are JSON integers with 1 <= r <= n, and a monomial is a
     nonempty list of rows, each a list of r JSON integers (no bool, no
-    float).  Anything else raises DocumentError.
+    float).  The written terms must all have one degree, whatever their
+    order and even if some cancel.  Anything else raises DocumentError.
     """
     try:
         r, n, terms = doc["r"], doc["n"], doc["terms"]
@@ -52,7 +55,8 @@ def load_polynomial_document(doc: dict) -> PluckerPolynomial:
         raise DocumentError(f"'r' and 'n' must be integers with 1 <= r <= n, got {r!r} and {n!r}")
     if not isinstance(terms, list):
         raise DocumentError("'terms' must be a list")
-    poly = PluckerPolynomial.zero(r, n)
+    collected: dict[tuple, int] = {}
+    degrees = set()
     for term in terms:
         try:
             coeff = int(str(term["coeff"]))
@@ -72,13 +76,17 @@ def load_polynomial_document(doc: dict) -> PluckerPolynomial:
             raise DocumentError(
                 f"monomial {rows!r} must be a nonempty list of rows of {r} integers"
             )
+        degrees.add(len(rows))
+        if len(degrees) > 1:
+            raise DocumentError("document is not degree-homogeneous")
         try:
             addend = PluckerPolynomial.from_raw_rows(rows, n, coeff)
-            if not addend.is_zero() and poly.degree not in (None, addend.degree):
-                raise DocumentError("document is not degree-homogeneous")
-            poly = poly + addend
         except ValueError as exc:
             raise DocumentError(str(exc)) from exc
+        for key, c in addend.terms.items():
+            collected[key] = collected.get(key, 0) + c
+    poly = PluckerPolynomial.zero(r, n)
+    poly.terms = {key: c for key, c in collected.items() if c}
     return poly
 
 
@@ -101,11 +109,7 @@ def _parse_w(text: str, n2n: int | None) -> IndexTuple:
         values = tuple(int(v) for v in text.split(","))
     except ValueError as exc:
         raise DocumentError(f"cannot parse index tuple {text!r}") from exc
-    n = n2n if n2n is not None else 2 * len(values)
-    try:
-        return IndexTuple(values, n)
-    except ValueError as exc:
-        raise DocumentError(str(exc)) from exc
+    return IndexTuple(values, n2n if n2n is not None else 2 * len(values))
 
 
 def _emit(payload: dict, text_lines: list[str], args) -> None:
@@ -120,39 +124,27 @@ def _emit(payload: dict, text_lines: list[str], args) -> None:
         print(out)
 
 
-def _read_input(path: str) -> str:
-    """The text of an input document, from a file or from stdin for '-'."""
+def _read_document(path: str):
+    """The parsed JSON of an input document, from a file or from stdin for '-'."""
     try:
         if path == "-":
-            return sys.stdin.read()
-        with open(path, encoding="utf-8") as fh:
-            return fh.read()
+            raw = sys.stdin.read()
+        else:
+            with open(path, encoding="utf-8") as fh:
+                raw = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         source = "stdin" if path == "-" else path
         raise DocumentError(f"cannot read {source}: {exc}") from exc
+    try:
+        return json.loads(raw)
+    except json.JSONDecodeError as exc:
+        raise DocumentError(f"invalid JSON: {exc}") from exc
 
 
 def _cmd_straighten(args) -> int:
-    raw = _read_input(args.input)
-    try:
-        doc = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        print(f"error: invalid JSON: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        poly = load_polynomial_document(doc)
-        bound = _parse_w(args.bound, args.n2n) if args.bound else None
-    except DocumentError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        result = straighten(poly, bound, seed=args.seed)
-    except RankDeficientError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    poly = load_polynomial_document(_read_document(args.input))
+    bound = _parse_w(args.bound, args.n2n) if args.bound else None
+    result = straighten(poly, bound, seed=args.seed)
     payload = save_polynomial_document(result)
     payload["seed"] = args.seed
     _emit(payload, [str(result)], args)
@@ -160,15 +152,11 @@ def _cmd_straighten(args) -> int:
 
 
 def _cmd_basis(args) -> int:
-    try:
-        w = _parse_w(args.w, args.n2n)
-        if args.invariant:
-            tableaux = list(invariant_basis(w, args.k))
-        else:
-            tableaux = enumerate_standard(2 * args.k, w.r, w.n, bound=w)
-    except (DocumentError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    w = _parse_w(args.w, args.n2n)
+    if args.invariant:
+        tableaux = list(invariant_basis(w, args.k))
+    else:
+        tableaux = enumerate_standard(2 * args.k, w.r, w.n, bound=w)
     payload = {
         "w": list(w.values),
         "n": w.n,
@@ -183,11 +171,7 @@ def _cmd_basis(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    try:
-        reports = run_cases(args.case, args.n, seed=args.seed, k_max=args.k_max)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    reports = run_cases(args.case, args.n, seed=args.seed, k_max=args.k_max)
     all_pass = all(r.passed for r in reports)
     payload = {
         "n": args.n,
@@ -204,27 +188,23 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_probe(args) -> int:
-    try:
-        w = _parse_w(args.w, args.n2n)
-        if args.mode == "normality":
-            report = normality_probe(w, args.degree, seed=args.seed)
-            payload = report.to_dict()
-            lines = [
-                f"w={w} degree={args.degree}: "
-                f"spanned={report.spanned} rank={report.dim_lower_products} "
-                f"dim={report.dim_graded_piece} witnesses={len(report.cokernel_witnesses)}"
-            ]
-        else:
-            reports = generation_degree_probe(w, args.k_max, seed=args.seed)
-            payload = {"w": list(w.values), "degrees": [r.to_dict() for r in reports]}
-            lines = [
-                f"degree {r.degree}: spanned={r.spanned} "
-                f"({r.dim_generated}/{r.dim_graded_piece})"
-                for r in reports
-            ]
-    except (DocumentError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    w = _parse_w(args.w, args.n2n)
+    if args.mode == "normality":
+        report = normality_probe(w, args.degree, seed=args.seed)
+        payload = report.to_dict()
+        lines = [
+            f"w={w} degree={args.degree}: "
+            f"spanned={report.spanned} rank={report.dim_lower_products} "
+            f"dim={report.dim_graded_piece} witnesses={len(report.cokernel_witnesses)}"
+        ]
+    else:
+        reports = generation_degree_probe(w, args.k_max, seed=args.seed)
+        payload = {"w": list(w.values), "degrees": [r.to_dict() for r in reports]}
+        lines = [
+            f"degree {r.degree}: spanned={r.spanned} "
+            f"({r.dim_generated}/{r.dim_graded_piece})"
+            for r in reports
+        ]
     payload["seed"] = args.seed
     _emit(payload, lines, args)
     return EXIT_OK
@@ -297,7 +277,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except DocumentError as exc:  # the input could not be read or the output written
+    except ValueError as exc:  # a DocumentError, or an argument the engine rejects
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # keep the exit-code contract for unexpected failures

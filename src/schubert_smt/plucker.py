@@ -9,22 +9,24 @@ determinant oracle every identity in this package is checked against.
 Straightening into the standard-monomial basis is done by exact
 evaluation-interpolation: enumerate the candidate standard basis of the
 matching degree and content, evaluate everything at random points of
-the cone over the target Schubert variety, drawing more points until the
-evaluation matrix has full column rank, solve the integer linear system
-by fraction-free elimination (the coefficients come out as integer
+the cone over the target Schubert variety X(w), drawing more points until
+the evaluation matrix has full column rank, solve the integer linear
+system by fraction-free elimination (the coefficients come out as integer
 numerators over one common denominator, which must divide them all),
-and check the result exactly at every sample point.  Chained
-exchange-relation rewriting is deliberately avoided; the two-row
-exchange relation is still available as a relation generator.
+and check the result exactly at every sample point.  The Grassmannian
+itself is the top Schubert variety X(n-r+1, ..., n), so every cell
+samples Schubert points.  Chained exchange-relation rewriting is
+deliberately avoided; the two-row exchange relation is still available
+as a relation generator.
 """
 
 import random
 from functools import lru_cache
 
 from ._record import Record
-from .lattice import IndexTuple
+from .lattice import IndexTuple, top_element
 from .linalg import GaussSolver, det_int, rank_int
-from .tableaux import enumerate_standard
+from .tableaux import enumerate_standard, monomial_content, rows_are_standard
 
 Row = tuple[int, ...]
 Monomial = tuple[Row, ...]  # rows in canonical (lex-sorted) order
@@ -148,9 +150,6 @@ class PluckerPolynomial:
         key = tuple(sorted(tuple(int(v) for v in row) for row in rows))
         return self.terms.get(key, 0)
 
-    def support(self) -> list[Monomial]:
-        return sorted(self.terms)
-
     # -- ring structure -----------------------------------------------
 
     def _check_compatible(self, other: "PluckerPolynomial"):
@@ -221,29 +220,6 @@ class PluckerPolynomial:
             parts.append(f"{sign} {mag}{mono}")
         joined = " ".join(parts)
         return joined[2:] if joined.startswith("+ ") else joined
-
-
-def monomial_content(rows: Monomial, n: int) -> tuple[int, ...]:
-    counts = [0] * n
-    for row in rows:
-        for v in row:
-            counts[v - 1] += 1
-    return tuple(counts)
-
-
-def rows_are_standard(rows: Monomial, bound_values: Row | None = None) -> bool:
-    """Chain condition on canonically sorted monomial rows.
-
-    A multiset of rows admits a standard arrangement iff its lex-sorted
-    arrangement is one, so this decides standardness of the monomial.
-    """
-    for a, b in zip(rows, rows[1:]):
-        if any(x > y for x, y in zip(a, b)):
-            return False
-    if bound_values is not None and rows:
-        if any(x > y for x, y in zip(rows[-1], bound_values)):
-            return False
-    return True
 
 
 # -- relations ---------------------------------------------------------
@@ -409,23 +385,21 @@ class _Cell(Record):
     __slots__ = ("basis", "points", "solver")
     basis: tuple[Monomial, ...]
     points: tuple[MinorTable, ...]
-    solver: GaussSolver | None
+    solver: GaussSolver
 
 
 # The point and cell caches hold one operation's work: no verify, probe
 # or straighten call measured uses more than 134 points or 3 cells, and a
 # cell keeps its own points alive.  Older seeds' cells leave soon.
 @lru_cache(maxsize=256)
-def _point(r: int, n: int, bound: IndexTuple | None, tag: str) -> MinorTable:
-    """One sample point, with the minors computed at it so far."""
-    if bound is not None:
-        return MinorTable(random_schubert_point(bound, tag))
-    return MinorTable(random_point(r, n, tag))
+def _point(bound: IndexTuple, tag: str) -> MinorTable:
+    """One sample point of X(bound), with the minors computed at it so far."""
+    return MinorTable(random_schubert_point(bound, tag))
 
 
 @lru_cache(maxsize=256)
 def _standard_basis(
-    r: int, n: int, degree: int, content: tuple[int, ...], bound: IndexTuple | None
+    r: int, n: int, degree: int, content: tuple[int, ...], bound: IndexTuple
 ) -> tuple[Monomial, ...]:
     return tuple(
         t.row_values()
@@ -435,7 +409,7 @@ def _standard_basis(
 
 @lru_cache(maxsize=16)
 def _interpolation_cell(
-    r: int, n: int, degree: int, content: tuple[int, ...], bound: IndexTuple | None, seed
+    r: int, n: int, degree: int, content: tuple[int, ...], bound: IndexTuple, seed
 ) -> _Cell:
     """The sample points of one weight cell and its factored solver.
 
@@ -451,11 +425,11 @@ def _interpolation_cell(
         for idx in range(len(points), count):
             # the 0 is part of the tag stream that every pinned fixed-seed
             # output (tests/golden) was made with; dropping it changes them
-            point = _point(r, n, bound, f"{seed}:cell:0:{idx}")
+            point = _point(bound, f"{seed}:cell:0:{idx}")
             points.append(point)
             matrix.append([monomial_value(b, point) for b in basis])
-        solver = GaussSolver(matrix) if basis else None
-        if solver is None or solver.ok:
+        solver = GaussSolver(matrix)
+        if solver.ok:
             return _Cell(basis=basis, points=tuple(points), solver=solver)
         if count >= cap:
             raise RankDeficientError(
@@ -466,17 +440,11 @@ def _interpolation_cell(
 
 
 def _straighten_component(
-    comp: PluckerPolynomial, cont: tuple[int, ...], bound: IndexTuple | None, seed
+    comp: PluckerPolynomial, cont: tuple[int, ...], bound: IndexTuple, seed
 ) -> PluckerPolynomial:
     r, n, degree = comp.r, comp.n, comp.degree
     cell = _interpolation_cell(r, n, degree, cont, bound, seed)
     rhs = [_value(comp, m) for m in cell.points]
-    if not cell.basis:
-        if any(rhs):
-            raise StraighteningError(
-                "nonzero component with empty standard basis; invalid input or bug"
-            )
-        return PluckerPolynomial.zero(r, n)
     solved = cell.solver.solve(rhs)
     if solved is None:
         # at full column rank more points cannot help
@@ -497,20 +465,22 @@ def _straighten_component(
 def straighten(
     f: PluckerPolynomial, bound: IndexTuple | None = None, seed=0
 ) -> PluckerPolynomial:
-    """Expand f in the standard monomial basis (of X(bound), when given).
+    """Expand f in the standard monomial basis of X(bound), by default of
+    the whole Grassmannian X(top_element(f.r, f.n)).
 
     The output agrees with f as a function on the cone over the target
     variety; it is supported on standard monomials only.  Polynomials
     supported on several torus weights are straightened one weight cell
-    at a time.
+    at a time.  Sorting each column of a monomial whose rows lie below
+    the bound gives a standard monomial of the same content, so no cell
+    has an empty basis.
     """
     if bound is not None:
         f = restrict(f, bound)
-    if f.is_zero():
+    if f.is_zero() or all(rows_are_standard(rows) for rows in f.terms):
         return f
-    bvals = bound.values if bound is not None else None
-    if all(rows_are_standard(rows, bvals) for rows in f.terms):
-        return f
+    if bound is None:
+        bound = top_element(f.r, f.n)
     by_content: dict[tuple[int, ...], dict[Monomial, int]] = {}
     for rows, c in f.terms.items():
         by_content.setdefault(monomial_content(rows, f.n), {})[rows] = c

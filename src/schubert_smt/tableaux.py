@@ -8,7 +8,7 @@ usual strict-rows / weak-columns filling condition.
 """
 
 from ._record import Record, _set
-from .lattice import IndexTuple, leq_componentwise
+from .lattice import IndexTuple
 
 
 class Tableau(Record):
@@ -63,25 +63,45 @@ def make_tableau(rows) -> Tableau:
     return Tableau(tuple(rows))
 
 
+def rows_are_standard(
+    rows: tuple[tuple[int, ...], ...], bound_values: tuple[int, ...] | None = None
+) -> bool:
+    """Chain condition on rows, each a tuple of values, in the given order.
+
+    A multiset of rows admits a standard arrangement iff its lex-sorted
+    arrangement is one, so on canonically sorted monomial rows this
+    decides standardness of the monomial.
+    """
+    for a, b in zip(rows, rows[1:]):
+        if any(x > y for x, y in zip(a, b)):
+            return False
+    if bound_values is not None and rows:
+        if any(x > y for x, y in zip(rows[-1], bound_values)):
+            return False
+    return True
+
+
+def monomial_content(rows: tuple[tuple[int, ...], ...], n: int) -> tuple[int, ...]:
+    """counts[v-1] = number of entries v among the rows, for v in 1..n."""
+    counts = [0] * n
+    for row in rows:
+        for v in row:
+            counts[v - 1] += 1
+    return tuple(counts)
+
+
 def is_standard(t: Tableau, bound: IndexTuple | None = None) -> bool:
     """Row chain tau_1 <= tau_2 <= ... <= tau_m (<= bound when given)."""
-    if bound is not None and (bound.r != t.r or bound.n != t.n):
+    if bound is None:
+        return rows_are_standard(t.row_values())
+    if bound.r != t.r or bound.n != t.n:
         raise ValueError(f"bound {bound} does not match tableau shape ({t.r},{t.n})")
-    for a, b in zip(t.rows, t.rows[1:]):
-        if not leq_componentwise(a, b):
-            return False
-    if bound is not None:
-        return leq_componentwise(t.rows[-1], bound)
-    return True
+    return rows_are_standard(t.row_values(), bound.values)
 
 
 def content(t: Tableau) -> tuple[int, ...]:
     """counts[v-1] = number of boxes containing v, for v in 1..n."""
-    counts = [0] * t.n
-    for row in t.rows:
-        for v in row.values:
-            counts[v - 1] += 1
-    return tuple(counts)
+    return monomial_content(t.row_values(), t.n)
 
 
 def is_torus_invariant(t: Tableau) -> bool:

@@ -178,11 +178,10 @@ def test_criterion_09_oracle_property_suite():
             cells_used.add((degree, monomial_content(rows, 6)))
 
         # (c) every interpolation cell that was exercised reached full
-        # column rank (cached, so these lookups rebuild nothing)
+        # column rank; straighten without a bound samples X(top)
         for degree, cont in cells_used:
-            cell = _interpolation_cell(3, 6, degree, cont, None, 0)
-            if cell.basis:
-                assert cell.solver is not None and cell.solver.ok
+            cell = _interpolation_cell(3, 6, degree, cont, top_element(3, 6), 0)
+            assert cell.basis and cell.solver.ok
 
 
 def test_criterion_10_falsifiability():

@@ -109,6 +109,20 @@ class TestMalformedDocuments:
         assert code == EXIT_USAGE and out == ""
         assert err.startswith("error: ")
 
+    @pytest.mark.parametrize("order", ["+A-A+B", "+A+B-A", "+B+A-A"])
+    def test_mixed_degrees_exit_2_in_any_order(self, tmp_path, capsys, order):
+        # the written terms decide, not what is left after A cancels
+        terms = {
+            "+A": {"coeff": "1", "monomial": [[1, 2], [3, 4]]},
+            "-A": {"coeff": "-1", "monomial": [[1, 2], [3, 4]]},
+            "+B": {"coeff": "1", "monomial": [[1, 2], [1, 3], [2, 4]]},
+        }
+        doc = {"r": 2, "n": 4, "terms": [terms[order[i:i + 2]] for i in (0, 2, 4)]}
+        path = write_doc(tmp_path, doc)
+        code, out, err = run_cli(capsys, ["straighten", "--input", path, "--json"])
+        assert code == EXIT_USAGE and out == ""
+        assert err == "error: document is not degree-homogeneous\n"
+
     def test_well_formed_neighbour_loads(self):
         poly = load_polynomial_document(_doc([[3, 2, 1], [4, 5, 6]]))
         assert poly == PluckerPolynomial.monomial(((1, 2, 3), (4, 5, 6)), 6, -1)

@@ -94,6 +94,12 @@ class TestGaussSolver:
         with pytest.raises(RuntimeError):
             solver.solve([0] * n)
 
+    def test_zero_columns(self):
+        solver = GaussSolver([[] for _ in range(8)])
+        assert solver.ok
+        assert solver.solve([0] * 8) == ([], 1)
+        assert solver.solve([0] * 7 + [3]) is None
+
     @PROPERTY
     @given(st.data())
     def test_square_system_integrality_matches_oracle(self, data):

@@ -346,7 +346,7 @@ class TestStraighten:
         assert size == 16 and len(cell.points) == size + 2 * plucker.EXTRA_SAMPLES
         assert cell.solver.ok
         for idx, point in enumerate(cell.points):
-            assert point.columns == plucker._point(5, 10, w, f"{seed}:cell:0:{idx}").columns
+            assert point.columns == plucker._point(w, f"{seed}:cell:0:{idx}").columns
         matrix = [[plucker.monomial_value(b, m) for b in cell.basis] for m in cell.points]
         assert not GaussSolver(matrix[:size + plucker.EXTRA_SAMPLES]).ok
 
@@ -380,28 +380,28 @@ class TestStraighten:
     @pytest.mark.parametrize("bound", [None, distinguished_w(5, 3)])
     def test_two_content_polynomial_samples_each_point_once(self, monkeypatch, bound):
         # both weight cells draw from the same seeded points, so a point
-        # they share is sampled once
+        # they share is sampled once; without a bound they sample X(top)
         if bound is None:
             f = PluckerPolynomial.monomial(((1, 4), (2, 3)), 4) + PluckerPolynomial.monomial(
                 ((1, 4), (2, 4)), 4
             )
-            sampler = "random_point"
         else:
             f = PluckerPolynomial.monomial(((1, 4, 5), (2, 3, 6)), 6) + PluckerPolynomial.monomial(
                 ((1, 4, 5), (2, 3, 5)), 6
             )
-            sampler = "random_schubert_point"
+        target = bound if bound is not None else top_element(f.r, f.n)
         contents = {monomial_content(rows, f.n) for rows in f.terms}
         assert len(contents) == 2
-        sizes = [len(plucker._standard_basis(f.r, f.n, f.degree, c, bound)) for c in contents]
+        sizes = [len(plucker._standard_basis(f.r, f.n, f.degree, c, target)) for c in contents]
         tags = []
-        original = getattr(plucker, sampler)
+        original = plucker.random_schubert_point
 
-        def counting(*args):
-            tags.append(args[-1])
-            return original(*args)
+        def counting(w, tag):
+            assert w == target
+            tags.append(tag)
+            return original(w, tag)
 
-        monkeypatch.setattr(plucker, sampler, counting)
+        monkeypatch.setattr(plucker, "random_schubert_point", counting)
         for cache in (plucker._interpolation_cell, plucker._point):
             cache.cache_clear()
         try:
@@ -412,6 +412,45 @@ class TestStraighten:
         assert not g.is_zero()
         assert len(tags) == len(set(tags))
         assert len(tags) == max(sizes) + plucker.EXTRA_SAMPLES
+
+    def test_unbounded_and_top_bounded_calls_share_one_cell(self):
+        # without a bound straighten works on X(top), so the explicit top
+        # bound finds the cell that the unbounded call built
+        f = PluckerPolynomial.monomial(((1, 4, 5), (2, 3, 6)), 6, 3)
+        plucker._interpolation_cell.cache_clear()
+        try:
+            g = straighten(f, seed=2)
+            misses = plucker._interpolation_cell.cache_info().misses
+            assert misses == 1
+            assert straighten(f, top_element(3, 6), seed=2) == g
+            assert plucker._interpolation_cell.cache_info().misses == misses
+        finally:
+            plucker._interpolation_cell.cache_clear()
+
+    def test_no_cell_below_w_is_empty(self):
+        # sorting each column of a monomial whose rows lie below w keeps its
+        # content, keeps its rows strictly increasing and below w, and makes
+        # it standard, so every cell that straighten builds has a basis
+        enumerate_cell = plucker._standard_basis.__wrapped__  # leaves the cache alone
+        checked = 0
+        for n in range(1, 7):
+            for r in range(1, min(n, 3) + 1):
+                for w_values in itertools.combinations(range(1, n + 1), r):
+                    w = make_index_tuple(w_values, n)
+                    below = [
+                        row
+                        for row in itertools.combinations(range(1, n + 1), r)
+                        if all(x <= y for x, y in zip(row, w_values))
+                    ]
+                    for degree in (2, 3):
+                        for rows in itertools.combinations_with_replacement(below, degree):
+                            if rows_are_standard(rows):
+                                continue
+                            basis = enumerate_cell(r, n, degree, monomial_content(rows, n), w)
+                            columns_sorted = tuple(zip(*(sorted(c) for c in zip(*rows))))
+                            assert columns_sorted in basis
+                            checked += 1
+        assert checked > 1000
 
     def test_idempotent_term_for_term(self):
         f = PluckerPolynomial.monomial(((1, 4), (2, 3)), 4)
