@@ -17,6 +17,7 @@ from .lattice import (
 from .tableaux import (
     Tableau,
     content,
+    count_standard,
     enumerate_standard,
     is_standard,
     is_torus_invariant,

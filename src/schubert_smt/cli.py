@@ -20,7 +20,7 @@ from .invariant_ring import (
     normality_probe,
 )
 from .lattice import IndexTuple
-from .plucker import PluckerPolynomial, straighten
+from .plucker import PluckerPolynomial, normalize_monomial, straighten
 from .tableaux import enumerate_standard
 from .verifier import CASE_NAMES, run_cases
 
@@ -80,11 +80,11 @@ def load_polynomial_document(doc: dict) -> PluckerPolynomial:
         if len(degrees) > 1:
             raise DocumentError("document is not degree-homogeneous")
         try:
-            addend = PluckerPolynomial.from_raw_rows(rows, n, coeff)
+            sign, key = normalize_monomial(rows, n)
         except ValueError as exc:
             raise DocumentError(str(exc)) from exc
-        for key, c in addend.terms.items():
-            collected[key] = collected.get(key, 0) + c
+        if sign:  # a repeated index in a row makes the term zero
+            collected[key] = collected.get(key, 0) + sign * coeff
     poly = PluckerPolynomial.zero(r, n)
     poly.terms = {key: c for key, c in collected.items() if c}
     return poly

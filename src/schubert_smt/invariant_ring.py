@@ -16,7 +16,7 @@ from .plucker import (
     rows_are_standard,
     straighten,
 )
-from .tableaux import Tableau, is_standard, is_torus_invariant
+from .tableaux import Tableau, count_standard, is_standard, is_torus_invariant
 
 
 class BasisMismatchError(RuntimeError):
@@ -320,10 +320,15 @@ def generation_degree_probe(w: IndexTuple, k_max: int, seed=0) -> list[Generatio
 
 
 def hilbert_series(w: IndexTuple, k_max: int) -> list[int]:
-    """[dim R_1, ..., dim R_{k_max}] by basis enumeration."""
+    """[dim R_1, ..., dim R_{k_max}], each counted without listing its basis."""
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    return [len(invariant_basis(w, k)) for k in range(1, k_max + 1)]
+    if w.n != 2 * w.r:
+        raise ValueError(f"invariants of the doubled weight need n = 2r, got ({w.r}, {w.n})")
+    return [
+        count_standard(2 * k, w.r, w.n, bound=w, content=(k,) * w.n)
+        for k in range(1, k_max + 1)
+    ]
 
 
 def semistable_nonempty(w: IndexTuple, cap: int = 2) -> SemistableReport:

@@ -1,7 +1,7 @@
 """Small exact linear algebra kernel over the integers.
 
-The determinant is a cofactor formula up to 4 x 4, the size of every
-Pluecker minor at ranks 3 and 4, and a fraction-free (Bareiss)
+The determinant is a cofactor formula up to 5 x 5, the size of every
+Pluecker minor at ranks 3 to 5, and a fraction-free (Bareiss)
 elimination above; the replayable solver uses the same Bareiss update.
 Rank and membership run on gcd-reduced integer echelon rows.  Every
 intermediate value is an integer, and every division is exact.
@@ -13,7 +13,7 @@ from math import gcd
 def det_int(rows) -> int:
     """Determinant of a square integer matrix, given as a sequence of rows.
 
-    Up to 4 x 4 it is a cofactor formula read off the rows without a copy;
+    Up to 5 x 5 it is a cofactor formula read off the rows without a copy;
     above that, Bareiss elimination on a copy.
     """
     k = len(rows)
@@ -31,6 +31,27 @@ def det_int(rows) -> int:
             + (b * g - c * f) * (i * q - m * n)
             - (b * h - d * f) * (i * p - l * n)
             + (c * h - d * g) * (i * o - j * n)
+        )
+    if k == 5:
+        # the same expansion: 2 x 2 minors of the top rows times 3 x 3
+        # minors of the bottom rows, which expand along their first row
+        (a0, a1, a2, a3, a4), (b0, b1, b2, b3, b4), (c0, c1, c2, c3, c4) = rows[:3]
+        (d0, d1, d2, d3, d4), (e0, e1, e2, e3, e4) = rows[3:]
+        m01, m02 = d0 * e1 - d1 * e0, d0 * e2 - d2 * e0
+        m03, m04 = d0 * e3 - d3 * e0, d0 * e4 - d4 * e0
+        m12, m13, m14 = d1 * e2 - d2 * e1, d1 * e3 - d3 * e1, d1 * e4 - d4 * e1
+        m23, m24, m34 = d2 * e3 - d3 * e2, d2 * e4 - d4 * e2, d3 * e4 - d4 * e3
+        return (
+            (a0 * b1 - a1 * b0) * (c2 * m34 - c3 * m24 + c4 * m23)
+            - (a0 * b2 - a2 * b0) * (c1 * m34 - c3 * m14 + c4 * m13)
+            + (a0 * b3 - a3 * b0) * (c1 * m24 - c2 * m14 + c4 * m12)
+            - (a0 * b4 - a4 * b0) * (c1 * m23 - c2 * m13 + c3 * m12)
+            + (a1 * b2 - a2 * b1) * (c0 * m34 - c3 * m04 + c4 * m03)
+            - (a1 * b3 - a3 * b1) * (c0 * m24 - c2 * m04 + c4 * m02)
+            + (a1 * b4 - a4 * b1) * (c0 * m23 - c2 * m03 + c3 * m02)
+            + (a2 * b3 - a3 * b2) * (c0 * m14 - c1 * m04 + c4 * m01)
+            - (a2 * b4 - a4 * b2) * (c0 * m13 - c1 * m03 + c3 * m01)
+            + (a3 * b4 - a4 * b3) * (c0 * m12 - c1 * m02 + c2 * m01)
         )
     if k == 2:
         (a, b), (c, d) = rows

@@ -21,6 +21,7 @@ as a relation generator.
 """
 
 import random
+from bisect import bisect_left
 from functools import lru_cache
 
 from ._record import Record
@@ -56,14 +57,34 @@ def normalize_index(values, n: int) -> tuple[int, Row | None]:
     vals = [int(v) for v in values]
     if any(v < 1 or v > n for v in vals):
         raise ValueError(f"values {vals} out of range 1..{n}")
-    if len(set(vals)) != len(vals):
-        return 0, None
+    # insertion sort: each value passes the placed values greater than it
+    placed: list[int] = []
     sign = 1
-    for i in range(len(vals)):
-        for j in range(i + 1, len(vals)):
-            if vals[i] > vals[j]:
-                sign = -sign
-    return sign, tuple(sorted(vals))
+    for v in vals:
+        i = bisect_left(placed, v)
+        if i < len(placed) and placed[i] == v:
+            return 0, None
+        if (len(placed) - i) & 1:
+            sign = -sign
+        placed.insert(i, v)
+    return sign, tuple(placed)
+
+
+def normalize_monomial(rows, n: int) -> tuple[int, Monomial | None]:
+    """Sort each row, tracking signs, and then the rows: (sign, monomial).
+
+    Returns (0, None) at the first row with a repeated value; rejects
+    out-of-range values in the rows before it.
+    """
+    sign = 1
+    normalized = []
+    for row in rows:
+        s, sorted_row = normalize_index(row, n)
+        if not s:
+            return 0, None
+        sign *= s
+        normalized.append(sorted_row)
+    return sign, tuple(sorted(normalized))
 
 
 class PluckerPolynomial:
@@ -121,19 +142,10 @@ class PluckerPolynomial:
 
         A row with a repeated index kills the whole monomial.
         """
-        sign = 1
-        norm: list[Row] = []
-        width = None
-        for row in rows:
-            s, srt = normalize_index(row, n)
-            if width is None:
-                width = len(tuple(row))
-            if s == 0:
-                return cls.zero(width, n)
-            sign *= s
-            norm.append(srt)
-        r = width if width is not None else 0
-        return cls(r, n, {tuple(sorted(norm)): sign * coeff})
+        rows = [tuple(row) for row in rows]
+        sign, key = normalize_monomial(rows, n)
+        r = len(rows[0]) if rows else 0
+        return cls(r, n, {key: sign * coeff} if sign else {})
 
     # -- basic queries ------------------------------------------------
 

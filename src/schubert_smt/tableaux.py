@@ -5,7 +5,14 @@ increasing tuple.  Standardness is the row-chain condition (successive
 rows weakly increase componentwise, optionally bounded by a Schubert
 representative), which for rectangular shapes is equivalent to the
 usual strict-rows / weak-columns filling condition.
+
+Standard tableaux are enumerated, and counted, by adding the values
+1..n one horizontal strip at a time to the transposed tableau, with the
+number of completions of each partial shape memoised per call: the walk
+enters only shapes that complete, and a count never lists a tableau.
 """
+
+from itertools import product
 
 from ._record import Record, _set
 from .lattice import IndexTuple
@@ -110,25 +117,13 @@ def is_torus_invariant(t: Tableau) -> bool:
     return c[0] >= 1 and all(x == c[0] for x in c)
 
 
-def enumerate_standard(
-    shape_rows: int,
-    r: int,
-    n: int,
-    bound: IndexTuple | None = None,
-    content: tuple[int, ...] | None = None,
-) -> list[Tableau]:
-    """All standard tableaux with shape_rows rows of length r over 1..n.
+def _completion_table(shape_rows: int, r: int, n: int, bound, content) -> dict:
+    """The strip walk's memo, filled from the empty shape (0,) * r.
 
-    Optionally bounded above by `bound` and/or constrained to an exact
-    content vector.  Output is in lexicographic order on the flattened
-    row sequence, which downstream code uses as the canonical basis
-    order.  Backtracks row by row in chain order.  With a content, a
-    partial chain is cut as soon as the remaining rows cannot absorb the
-    remaining content: each remaining row lies entrywise between the last
-    placed row and the bound, so for every threshold t the remaining
-    boxes holding values <= t number between rows_left * #{i : bound_i <= t}
-    and rows_left * #{i : prev_i <= t}.  The cut removes only branches
-    that cannot complete, so the output and its order are unchanged.
+    A state (v, shape) is the shape of the transposed tableau after the
+    values 1..v: shape[j] counts the rows whose entry j is <= v.  The memo
+    maps each state that can be reached to its number of completions and
+    to the next states, one per horizontal strip of v + 1, that complete.
     """
     if shape_rows < 1:
         raise ValueError("need at least one row")
@@ -148,64 +143,90 @@ def enumerate_standard(
                 f"content sums to {sum(target)}, shape holds {shape_rows * r} boxes"
             )
 
+    d = shape_rows
     bound_vals = bound.values if bound is not None else tuple(range(n - r + 1, n + 1))
-    bound_le = [sum(b <= t for b in bound_vals) for t in range(n + 1)]
-    used = [0] * (n + 1)
+    table: dict[tuple[int, tuple[int, ...]], tuple[int, list]] = {}
+
+    def completions(v: int, shape: tuple[int, ...]) -> int:
+        entry = table.get((v, shape))
+        if entry is None:
+            if v == n:  # every position was filled when v passed its bound
+                entry = (1, [])
+            else:
+                # a row takes v + 1 at position j only if its entry j - 1 is
+                # already placed (rows strictly increase), and position j is
+                # full once v + 1 reaches bound[j]; the ranges are independent
+                ranges = [
+                    range(d if b <= v + 1 else s, hi + 1)
+                    for b, s, hi in zip(bound_vals, shape, (d,) + shape[:-1])
+                ]
+                size = None if target is None else sum(shape) + target[v]
+                total = 0
+                nexts = []
+                for nxt in product(*ranges):
+                    if size is None or sum(nxt) == size:
+                        count = completions(v + 1, nxt)
+                        if count:
+                            total += count
+                            cells = [
+                                (i, j)
+                                for j, (s, t) in enumerate(zip(shape, nxt))
+                                for i in range(s, t)
+                            ]
+                            nexts.append((nxt, cells))
+                entry = (total, nexts)
+            table[(v, shape)] = entry
+        return entry[0]
+
+    completions(0, (0,) * r)
+    return table
+
+
+def count_standard(
+    shape_rows: int,
+    r: int,
+    n: int,
+    bound: IndexTuple | None = None,
+    content: tuple[int, ...] | None = None,
+) -> int:
+    """len(enumerate_standard(...)) with the same arguments, by counting."""
+    table = _completion_table(shape_rows, r, n, bound, content)
+    return table[(0, (0,) * r)][0]
+
+
+def enumerate_standard(
+    shape_rows: int,
+    r: int,
+    n: int,
+    bound: IndexTuple | None = None,
+    content: tuple[int, ...] | None = None,
+) -> list[Tableau]:
+    """All standard tableaux with shape_rows rows of length r over 1..n.
+
+    Optionally bounded above by `bound` and/or constrained to an exact
+    content vector.  Output is in lexicographic order on the flattened
+    row sequence, which downstream code uses as the canonical basis
+    order.  The rows, read as columns, form a semistandard tableau with
+    r rows and shape_rows columns; the walk adds the values 1..n to it
+    one horizontal strip at a time (of size content[v-1] when a content
+    is given), and enters only the states whose completion count is
+    nonzero, so its cost follows the size of its output.
+    """
+    table = _completion_table(shape_rows, r, n, bound, content)
+    rows = [[0] * r for _ in range(shape_rows)]
     results: list[tuple[tuple[int, ...], ...]] = []
-    rows_acc: list[tuple[int, ...]] = []
 
-    def feasible(prev: tuple[int, ...], rows_left: int) -> bool:
-        if target is None:
-            return True
-        # Each remaining row lies entrywise between prev and the bound, so it
-        # holds between bound_le[t] and prev_le entries <= t; `below` is the
-        # remaining content of the values 1..t.
-        below = 0
-        prev_le = 0
-        for t in range(1, n + 1):
-            need = target[t - 1] - used[t]
-            if need > rows_left:
-                return False
-            below += need
-            while prev_le < r and prev[prev_le] <= t:
-                prev_le += 1
-            if not rows_left * bound_le[t] <= below <= rows_left * prev_le:
-                return False
-        return True
-
-    def candidate_rows(prev: tuple[int, ...]):
-        row = [0] * r
-
-        def place(pos: int, min_val: int):
-            if pos == r:
-                yield tuple(row)
-                return
-            lo = max(min_val, prev[pos])
-            for v in range(lo, bound_vals[pos] + 1):
-                if target is not None and used[v] >= target[v - 1]:
-                    continue
-                row[pos] = v
-                yield from place(pos + 1, v + 1)
-
-        yield from place(0, 1)
-
-    def recurse(prev: tuple[int, ...], rows_left: int):
-        if rows_left == 0:
-            results.append(tuple(rows_acc))
+    def walk(v: int, shape: tuple[int, ...]):
+        if v == n:
+            results.append(tuple(map(tuple, rows)))
             return
-        for row in candidate_rows(prev):
-            for v in row:
-                used[v] += 1
-            rows_acc.append(row)
-            if feasible(row, rows_left - 1):
-                recurse(row, rows_left - 1)
-            rows_acc.pop()
-            for v in row:
-                used[v] -= 1
+        for nxt, cells in table[(v, shape)][1]:
+            for i, j in cells:
+                rows[i][j] = v + 1
+            walk(v + 1, nxt)
 
-    start = (0,) * r
-    if feasible(start, shape_rows):
-        recurse(start, shape_rows)
-    return [
-        Tableau(tuple(IndexTuple(vals, n) for vals in rows)) for rows in results
-    ]
+    walk(0, (0,) * r)
+    results.sort()
+    # one IndexTuple per distinct row, shared by the tableaux that hold it
+    made = {vals: IndexTuple(vals, n) for vals in set().union(*results)}
+    return [Tableau(tuple(map(made.__getitem__, rows))) for rows in results]

@@ -2,9 +2,10 @@
 
 Everything here recomputes expected values by a route different from the
 implementation under test: brute-force enumeration over all row
-multisets, simple-reflection action on value sets, and function-level
-rank computations straight from the determinant oracle, and span
-probes that straighten every product.
+multisets, the row-by-row backtracker that enumeration used before it
+walked horizontal strips, simple-reflection action on value sets, and
+function-level rank computations straight from the determinant oracle,
+and span probes that straighten every product.
 """
 
 import itertools
@@ -46,6 +47,75 @@ def brute_force_standard(shape_rows, r, n, bound=None, content=None):
         out.append(rows)
     out.sort()
     return out
+
+
+def reference_enumerate_standard(shape_rows, r, n, bound=None, content=None):
+    """`enumerate_standard` as a row-by-row backtracker, as rows.
+
+    It places the rows in chain order and, with a content, cuts a partial
+    chain as soon as the remaining rows cannot absorb the remaining
+    content: each remaining row lies entrywise between the last placed
+    row and the bound, so for every threshold t the remaining boxes
+    holding values <= t number between rows_left * #{i : bound_i <= t}
+    and rows_left * #{i : prev_i <= t}.  Output is in the same
+    flattened-lex order, with no sort.  `bound` is a tuple of values.
+    """
+    bound_vals = tuple(bound) if bound is not None else tuple(range(n - r + 1, n + 1))
+    target = tuple(content) if content is not None else None
+    bound_le = [sum(b <= t for b in bound_vals) for t in range(n + 1)]
+    used = [0] * (n + 1)
+    results = []
+    rows_acc = []
+
+    def feasible(prev, rows_left):
+        if target is None:
+            return True
+        below = 0
+        prev_le = 0
+        for t in range(1, n + 1):
+            need = target[t - 1] - used[t]
+            if need > rows_left:
+                return False
+            below += need
+            while prev_le < r and prev[prev_le] <= t:
+                prev_le += 1
+            if not rows_left * bound_le[t] <= below <= rows_left * prev_le:
+                return False
+        return True
+
+    def candidate_rows(prev):
+        row = [0] * r
+
+        def place(pos, min_val):
+            if pos == r:
+                yield tuple(row)
+                return
+            for v in range(max(min_val, prev[pos]), bound_vals[pos] + 1):
+                if target is not None and used[v] >= target[v - 1]:
+                    continue
+                row[pos] = v
+                yield from place(pos + 1, v + 1)
+
+        yield from place(0, 1)
+
+    def recurse(prev, rows_left):
+        if rows_left == 0:
+            results.append(tuple(rows_acc))
+            return
+        for row in candidate_rows(prev):
+            for v in row:
+                used[v] += 1
+            rows_acc.append(row)
+            if feasible(row, rows_left - 1):
+                recurse(row, rows_left - 1)
+            rows_acc.pop()
+            for v in row:
+                used[v] -= 1
+
+    start = (0,) * r
+    if feasible(start, shape_rows):
+        recurse(start, shape_rows)
+    return results
 
 
 def apply_simple_reflection(values, i):

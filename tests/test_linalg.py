@@ -136,8 +136,8 @@ class TestDetRank:
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(st.data())
     def test_cofactor_sizes_match_fraction_determinant(self, data):
-        # 3 x 3 and 4 x 4 take the cofactor formulas, not Bareiss
-        k = data.draw(st.sampled_from((3, 4)))
+        # 3 x 3 to 5 x 5 take the cofactor formulas, not Bareiss
+        k = data.draw(st.sampled_from((3, 4, 5)))
         entries = data.draw(st.sampled_from(COFACTOR_ENTRIES))
         a = data.draw(matrices(k, k, entries) | low_rank(k, k))
         assert det_int(a) == fraction_det(a)

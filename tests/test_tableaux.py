@@ -6,15 +6,17 @@ from hypothesis import given, settings, strategies as st
 
 from schubert_smt import (
     content,
+    count_standard,
     distinguished_w,
     enumerate_standard,
     is_standard,
     is_torus_invariant,
     make_index_tuple,
     make_tableau,
+    top_element,
 )
 
-from helpers import brute_force_standard, tab, tableaux_rows
+from helpers import brute_force_standard, reference_enumerate_standard, tab, tableaux_rows
 
 
 X1_N3 = [(1, 3, 5), (2, 4, 6)]
@@ -219,3 +221,44 @@ class TestEnumerateStandard:
             enumerate_standard(shape_rows, r, n, bound=bound_it, content=cont)
         )
         assert got == brute_force_standard(shape_rows, r, n, bound=bound, content=cont)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(enumeration_inputs())
+    def test_count_matches_enumeration_and_oracle_on_random_inputs(self, args):
+        shape_rows, r, n, bound, cont = args
+        bound_it = make_index_tuple(bound, n) if bound else None
+        counted = count_standard(shape_rows, r, n, bound=bound_it, content=cont)
+        listed = enumerate_standard(shape_rows, r, n, bound=bound_it, content=cont)
+        assert counted == len(listed)
+        assert counted == len(brute_force_standard(shape_rows, r, n, bound=bound, content=cont))
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_matches_row_backtracker_on_every_invariant_piece(self, n):
+        # the strip walk against the row-by-row backtracker it replaced,
+        # order included, for R_1..R_3 on every X(w) in G(n, 2n), and for
+        # the two-row tableaux of any content
+        for values in itertools.combinations(range(1, 2 * n + 1), n):
+            w = make_index_tuple(values, 2 * n)
+            got = tableaux_rows(enumerate_standard(2, n, 2 * n, bound=w))
+            assert got == reference_enumerate_standard(2, n, 2 * n, bound=values)
+            for k in (1, 2, 3):
+                cont = (k,) * (2 * n)
+                got = enumerate_standard(2 * k, n, 2 * n, bound=w, content=cont)
+                expected = reference_enumerate_standard(2 * k, n, 2 * n, bound=values, content=cont)
+                assert tableaux_rows(got) == expected
+
+    def test_invariant_counts_on_g_5_10_match_enumeration(self):
+        w = top_element(5, 10)
+        for k in (1, 2, 3):
+            cont = (k,) * 10
+            counted = count_standard(2 * k, 5, 10, bound=w, content=cont)
+            assert counted == len(enumerate_standard(2 * k, 5, 10, bound=w, content=cont))
+        assert counted == 25059
+
+    def test_count_rejects_what_enumeration_rejects(self):
+        with pytest.raises(ValueError):
+            count_standard(2, 2, 4, content=(1, 1, 1, 2))
+        with pytest.raises(ValueError):
+            count_standard(0, 2, 4)
+        with pytest.raises(ValueError):
+            count_standard(2, 2, 4, bound=make_index_tuple((1, 2, 3), 6))

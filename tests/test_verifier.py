@@ -6,6 +6,7 @@ import pytest
 from schubert_smt import invariant_ring, plucker
 from schubert_smt import (
     build_generators,
+    count_standard,
     distinguished_w,
     enumerate_standard,
     invariant_basis,
@@ -249,16 +250,19 @@ class TestRunCases:
     @pytest.mark.parametrize("n", [3, 5])
     def test_each_basis_is_enumerated_once(self, n, monkeypatch):
         # invariant_basis reads the standard-basis cache that straightening
-        # fills, so no (w, k) basis is enumerated twice in one call
-        calls = []
+        # fills, and hilbert_series counts without listing, so no (w, k)
+        # basis is built twice in one call: the theorem's two bases are
+        # enumerated, the twenty Hilbert-function entries only counted
+        enumerated, counted = [], []
 
-        def recording(*args, **kwargs):
-            calls.append((args, tuple(sorted(kwargs.items()))))
-            return enumerate_standard(*args, **kwargs)
+        def recording(calls, fn):
+            def record(*args, **kwargs):
+                calls.append((args, tuple(sorted(kwargs.items()))))
+                return fn(*args, **kwargs)
+            return record
 
-        for module in (plucker, invariant_ring):
-            if hasattr(module, "enumerate_standard"):
-                monkeypatch.setattr(module, "enumerate_standard", recording)
+        monkeypatch.setattr(plucker, "enumerate_standard", recording(enumerated, enumerate_standard))
+        monkeypatch.setattr(invariant_ring, "count_standard", recording(counted, count_standard))
         caches = (plucker._interpolation_cell, plucker._point, plucker._standard_basis)
         for cache in caches:
             cache.cache_clear()
@@ -267,4 +271,5 @@ class TestRunCases:
         finally:
             for cache in caches:
                 cache.cache_clear()
-        assert len(calls) == len(set(calls)) == 22
+        assert len(enumerated) == len(set(enumerated)) == 2
+        assert len(counted) == len(set(counted)) == 20
