@@ -14,15 +14,13 @@ class Record:
     """Base of the package's value classes.
 
     The fields are the subclass's `__slots__`, in order.  Construction
-    takes them positionally or by keyword; equality and hashing use the
-    fields named in `_compared` (all of them by default), between
-    instances of the same class only; assignment and deletion raise
-    AttributeError.  Copies and pickles rebuild the object through its
-    constructor, so they never assign to a field.
+    takes them positionally or by keyword; equality and hashing use all
+    of them, between instances of the same class only; assignment and
+    deletion raise AttributeError.  Copies and pickles rebuild the
+    object through its constructor, so they never assign to a field.
     """
 
     __slots__ = ()
-    _compared: tuple[str, ...] | None = None
 
     def __init__(self, *args, **kwargs):
         names = self.__slots__
@@ -44,7 +42,7 @@ class Record:
             _set(self, name, values[name])
 
     def _key(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._compared or self.__slots__)
+        return tuple(getattr(self, name) for name in self.__slots__)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

@@ -85,9 +85,7 @@ def load_polynomial_document(doc: dict) -> PluckerPolynomial:
             raise DocumentError(str(exc)) from exc
         if sign:  # a repeated index in a row makes the term zero
             collected[key] = collected.get(key, 0) + sign * coeff
-    poly = PluckerPolynomial.zero(r, n)
-    poly.terms = {key: c for key, c in collected.items() if c}
-    return poly
+    return PluckerPolynomial._of(r, n, {key: c for key, c in collected.items() if c})
 
 
 def save_polynomial_document(poly: PluckerPolynomial) -> dict:

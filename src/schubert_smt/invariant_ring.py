@@ -1,10 +1,13 @@
 """Graded pieces of torus-invariant section rings on Schubert varieties.
 
 The degree-k piece R_k on X(w), w in I(r, 2r), is spanned by the
-standard tableaux with 2k rows of length r, bounded by w, in which
+standard monomials with 2k rows of length r, bounded by w, in which
 every value 1..2r occurs exactly k times.  All probes below reduce to
-exact linear algebra in these coordinates.
+exact linear algebra in these coordinates.  The engine works on the
+monomials and builds a `Tableau` only for output and for straightening.
 """
+
+from bisect import bisect_left
 
 from ._record import Record
 from .lattice import IndexTuple
@@ -24,30 +27,34 @@ class BasisMismatchError(RuntimeError):
     weight and standardness are preserved, this signals a bug."""
 
 
-class GradedPieceBasis(Record):
-    """Canonical-ordered basis of R_k on X(w), with coordinate lookup.
+def _tableau(rows: Monomial, n: int) -> Tableau:
+    return Tableau(tuple(IndexTuple(row, n) for row in rows))
 
-    `index` maps each tableau's rows to its position; it is derived from
-    the tableaux, so equality and hashing leave it out.
+
+class GradedPieceBasis(Record):
+    """Basis of R_k on X(w): its standard monomials in canonical order.
+
+    `monomials` is the tuple that the standard-basis cache holds.  The
+    canonical order is the sorted order, so `position` bisects it.
+    Iteration yields each element as a new `Tableau`.
     """
 
-    __slots__ = ("w", "k", "tableaux", "index")
-    _compared = ("w", "k", "tableaux")
+    __slots__ = ("w", "k", "monomials")
     w: IndexTuple
     k: int
-    tableaux: tuple[Tableau, ...]
-    index: dict[Monomial, int]
+    monomials: tuple[Monomial, ...]
 
     def __len__(self):
-        return len(self.tableaux)
+        return len(self.monomials)
 
     def __iter__(self):
-        return iter(self.tableaux)
+        return (_tableau(rows, self.w.n) for rows in self.monomials)
 
     def position(self, rows: Monomial) -> int:
-        if rows not in self.index:
+        i = bisect_left(self.monomials, rows)
+        if self.monomials[i:i + 1] != (rows,):
             raise BasisMismatchError(f"monomial {rows} is not in the invariant basis")
-        return self.index[rows]
+        return i
 
 
 class NormalityReport(Record):
@@ -126,19 +133,15 @@ class SemistableReport(Record):
 def invariant_basis(w: IndexTuple, k: int) -> GradedPieceBasis:
     """Basis of the degree-k invariants on X(w): constant content k, 2k rows.
 
-    The rows come from the standard-basis cache that straightening uses,
-    so each basis is enumerated once per process.
+    The basis holds the very tuple of monomials that the standard-basis
+    cache of straightening holds, so each basis is enumerated once per
+    process and no call builds a tableau.
     """
     if k < 1:
         raise ValueError("degree must be >= 1")
     if w.n != 2 * w.r:
         raise ValueError(f"invariants of the doubled weight need n = 2r, got ({w.r}, {w.n})")
-    basis = _standard_basis(w.r, w.n, 2 * k, (k,) * w.n, w)
-    tableaux = tuple(
-        Tableau(tuple(IndexTuple(row, w.n) for row in rows)) for rows in basis
-    )
-    index = {rows: i for i, rows in enumerate(basis)}
-    return GradedPieceBasis(w=w, k=k, tableaux=tableaux, index=index)
+    return GradedPieceBasis(w, k, _standard_basis(w, (k,) * w.n))
 
 
 def tableau_monomial(t: Tableau) -> PluckerPolynomial:
@@ -164,12 +167,8 @@ def multiply_to_coordinates(
     return coords
 
 
-# A product given as its terms (c, a, b): the sum of c.a.b over basis tableaux.
-Product = list[tuple[int, Tableau, Tableau]]
-
-
-def _product_rows(a: Tableau, b: Tableau) -> Monomial:
-    return tuple(sorted(a.row_values() + b.row_values()))
+# A product given as its terms (c, a, b): the sum of c.a.b over basis monomials.
+Product = list[tuple[int, Monomial, Monomial]]
 
 
 def _span_of_products(products: list[Product], target: GradedPieceBasis, seed) -> IntRowSpan:
@@ -183,39 +182,42 @@ def _span_of_products(products: list[Product], target: GradedPieceBasis, seed) -
     are straightened on demand, each distinct monomial once per call.
     """
     dim = len(target)
-    bound = target.w.values
-    coordinates: dict[Monomial, list[int]] = {}
+    n, bound = target.w.n, target.w.values
+    straightened: dict[Monomial, list[int]] = {}
 
-    def vector(terms: Product) -> list[int]:
+    def vector(merged) -> list[int]:
         vec = [0] * dim
-        for c, a, b in terms:
-            rows = _product_rows(a, b)
-            if rows not in coordinates:
-                if rows_are_standard(rows, bound):
-                    unit = [0] * dim
-                    unit[target.position(rows)] = 1
-                    coordinates[rows] = unit
-                else:
-                    coordinates[rows] = multiply_to_coordinates(a, b, target, seed=seed)
-            vec = [x + c * y for x, y in zip(vec, coordinates[rows])]
+        for c, rows, factors in merged:
+            if factors is None:
+                vec[target.position(rows)] += c
+                continue
+            if rows not in straightened:
+                a, b = (_tableau(f, n) for f in factors)
+                straightened[rows] = multiply_to_coordinates(a, b, target, seed=seed)
+            vec = [x + c * y for x, y in zip(vec, straightened[rows])]
         return vec
 
     span = IntRowSpan(dim)
     seen: set[tuple[int, ...]] = set()
     deferred = []
     for terms in products:
-        if all(rows_are_standard(_product_rows(a, b), bound) for _, a, b in terms):
-            vec = vector(terms)
-            key = tuple(vec)
-            if key not in seen:
-                seen.add(key)
-                span.add(vec)
-        else:
-            deferred.append(terms)
-    for terms in deferred:
+        # (c, merged rows, the factors if the merged rows are not standard)
+        merged = []
+        for c, a, b in terms:
+            rows = tuple(sorted(a + b))
+            merged.append((c, rows, None if rows_are_standard(rows, bound) else (a, b)))
+        if any(factors for _, _, factors in merged):
+            deferred.append(merged)
+            continue
+        vec = vector(merged)
+        key = tuple(vec)
+        if key not in seen:
+            seen.add(key)
+            span.add(vec)
+    for merged in deferred:
         if span.rank == dim:
             break
-        span.add(vector(terms))
+        span.add(vector(merged))
     return span
 
 
@@ -228,9 +230,9 @@ def _product_span(
         b = d - a
         basis_a = invariant_basis(w, a)
         basis_b = basis_a if b == a else invariant_basis(w, b)
-        for i, ta in enumerate(basis_a):
+        for i, ma in enumerate(basis_a.monomials):
             start = i if a == b else 0
-            products.extend([(1, ta, tb)] for tb in basis_b.tableaux[start:])
+            products.extend([(1, ma, mb)] for mb in basis_b.monomials[start:])
     return _span_of_products(products, target, seed)
 
 
@@ -248,11 +250,11 @@ def normality_probe(w: IndexTuple, d: int, seed=0) -> NormalityReport:
     spanned = span.rank == len(target)
     witnesses = []
     if not spanned:
-        for pos, t in enumerate(target):
+        for pos, rows in enumerate(target.monomials):
             unit = [0] * len(target)
             unit[pos] = 1
             if not span.contains(unit):
-                witnesses.append(t)
+                witnesses.append(_tableau(rows, w.n))
     return NormalityReport(
         w=w,
         degree=d,
@@ -264,12 +266,12 @@ def normality_probe(w: IndexTuple, d: int, seed=0) -> NormalityReport:
 
 
 # A generated piece T_d as a list of elements, each a list of
-# (coefficient, basis tableau) terms.
-Piece = list[list[tuple[int, Tableau]]]
+# (coefficient, basis monomial) terms.
+Piece = list[list[tuple[int, Monomial]]]
 
 
 def _whole_piece(basis: GradedPieceBasis) -> Piece:
-    return [[(1, t)] for t in basis]
+    return [[(1, m)] for m in basis.monomials]
 
 
 def _generated_span(
@@ -278,10 +280,10 @@ def _generated_span(
     """Span of T_d = T_{d-1}.R_1 + T_{d-2}.R_2 (the second for d >= 4) in R_d."""
     pieces = [(d - 1, 1)] + ([(d - 2, 2)] if d >= 4 else [])
     products = [
-        [(c, ta, tb) for c, ta in element]
+        [(c, ma, mb) for c, ma in element]
         for a, b in pieces
         for element in generated[a]
-        for tb in bases[b]
+        for mb in bases[b].monomials
     ]
     return _span_of_products(products, bases[d], seed)
 
@@ -306,7 +308,7 @@ def generation_degree_probe(w: IndexTuple, k_max: int, seed=0) -> list[Generatio
         generated[d] = (
             _whole_piece(target)
             if spanned
-            else [[(c, t) for c, t in zip(row, target) if c] for row in span.rows()]
+            else [[(c, m) for c, m in zip(row, target.monomials) if c] for row in span.rows()]
         )
         reports.append(
             GenerationReport(
@@ -339,6 +341,6 @@ def semistable_nonempty(w: IndexTuple, cap: int = 2) -> SemistableReport:
         basis = invariant_basis(w, k)
         if len(basis):
             return SemistableReport(
-                w=w, found=True, witness=basis.tableaux[0], degree=k, cap=cap
+                w=w, found=True, witness=next(iter(basis)), degree=k, cap=cap
             )
     return SemistableReport(w=w, found=False, witness=None, degree=None, cap=cap)

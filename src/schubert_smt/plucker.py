@@ -123,8 +123,16 @@ class PluckerPolynomial:
     # -- constructors -------------------------------------------------
 
     @classmethod
+    def _of(cls, r: int, n: int, terms: dict[Monomial, int]) -> "PluckerPolynomial":
+        """Wrap terms that are already canonical: sorted rows, nonzero
+        coefficients, one degree.  The dict is taken, not copied."""
+        out = cls.__new__(cls)
+        out.r, out.n, out.terms = r, n, terms
+        return out
+
+    @classmethod
     def zero(cls, r: int, n: int) -> "PluckerPolynomial":
-        return cls(r, n, {})
+        return cls._of(int(r), int(n), {})
 
     @classmethod
     def monomial(cls, rows, n: int, coeff: int = 1) -> "PluckerPolynomial":
@@ -177,24 +185,18 @@ class PluckerPolynomial:
             terms[rows] = terms.get(rows, 0) + c
             if terms[rows] == 0:
                 del terms[rows]
-        out = PluckerPolynomial.zero(self.r, self.n)
-        out.terms = terms
-        return out
+        return PluckerPolynomial._of(self.r, self.n, terms)
 
     def __neg__(self) -> "PluckerPolynomial":
-        out = PluckerPolynomial.zero(self.r, self.n)
-        out.terms = {rows: -c for rows, c in self.terms.items()}
-        return out
+        return PluckerPolynomial._of(self.r, self.n, {rows: -c for rows, c in self.terms.items()})
 
     def __sub__(self, other: "PluckerPolynomial") -> "PluckerPolynomial":
         return self + (-other)
 
     def __mul__(self, other) -> "PluckerPolynomial":
         if isinstance(other, int):
-            out = PluckerPolynomial.zero(self.r, self.n)
-            if other != 0:
-                out.terms = {rows: other * c for rows, c in self.terms.items()}
-            return out
+            terms = {rows: other * c for rows, c in self.terms.items()} if other else {}
+            return PluckerPolynomial._of(self.r, self.n, terms)
         self._check_compatible(other)
         terms: dict[Monomial, int] = {}
         for rows_a, ca in self.terms.items():
@@ -203,9 +205,7 @@ class PluckerPolynomial:
                 terms[rows] = terms.get(rows, 0) + ca * cb
                 if terms[rows] == 0:
                     del terms[rows]
-        out = PluckerPolynomial.zero(self.r, self.n)
-        out.terms = terms
-        return out
+        return PluckerPolynomial._of(self.r, self.n, terms)
 
     __rmul__ = __mul__
 
@@ -343,9 +343,7 @@ def restrict(f: PluckerPolynomial, w: IndexTuple) -> PluckerPolynomial:
         for rows, c in f.terms.items()
         if all(all(x <= y for x, y in zip(row, bound)) for row in rows)
     }
-    out = PluckerPolynomial.zero(f.r, f.n)
-    out.terms = terms
-    return out
+    return PluckerPolynomial._of(f.r, f.n, terms)
 
 
 # -- random points -----------------------------------------------------
@@ -410,26 +408,25 @@ def _point(bound: IndexTuple, tag: str) -> MinorTable:
 
 
 @lru_cache(maxsize=256)
-def _standard_basis(
-    r: int, n: int, degree: int, content: tuple[int, ...], bound: IndexTuple
-) -> tuple[Monomial, ...]:
+def _standard_basis(bound: IndexTuple, content: tuple[int, ...]) -> tuple[Monomial, ...]:
+    """The standard monomials of one weight cell of X(bound), in canonical
+    (sorted) order; (r, n) come from the bound and the degree from the content."""
+    degree = sum(content) // bound.r
     return tuple(
         t.row_values()
-        for t in enumerate_standard(degree, r, n, bound=bound, content=content)
+        for t in enumerate_standard(degree, bound.r, bound.n, bound=bound, content=content)
     )
 
 
 @lru_cache(maxsize=16)
-def _interpolation_cell(
-    r: int, n: int, degree: int, content: tuple[int, ...], bound: IndexTuple, seed
-) -> _Cell:
+def _interpolation_cell(bound: IndexTuple, content: tuple[int, ...], seed) -> _Cell:
     """The sample points of one weight cell and its factored solver.
 
     Draws B + EXTRA_SAMPLES points, then EXTRA_SAMPLES more at a time
     until the evaluation matrix has full column rank B, up to a cap of
     8 (B + EXTRA_SAMPLES) points.
     """
-    basis = _standard_basis(r, n, degree, content, bound)
+    basis = _standard_basis(bound, content)
     count = len(basis) + EXTRA_SAMPLES
     cap = 8 * count
     points, matrix = [], []
@@ -446,7 +443,7 @@ def _interpolation_cell(
         if count >= cap:
             raise RankDeficientError(
                 f"rank {rank_int(matrix)} < B={len(basis)} at {count} sample points "
-                f"(the cap) in the (degree={degree}, content={content}) cell"
+                f"(the cap) in the (degree={sum(content) // bound.r}, content={content}) cell"
             )
         count = min(count + EXTRA_SAMPLES, cap)
 
@@ -455,7 +452,7 @@ def _straighten_component(
     comp: PluckerPolynomial, cont: tuple[int, ...], bound: IndexTuple, seed
 ) -> PluckerPolynomial:
     r, n, degree = comp.r, comp.n, comp.degree
-    cell = _interpolation_cell(r, n, degree, cont, bound, seed)
+    cell = _interpolation_cell(bound, cont, seed)
     rhs = [_value(comp, m) for m in cell.points]
     solved = cell.solver.solve(rhs)
     if solved is None:
@@ -471,7 +468,7 @@ def _straighten_component(
     for m, v in zip(cell.points, rhs):
         if sum(monomial_value(b, m) * y for b, y in support) != d * v:
             raise StraighteningError("solution fails the exact back-check; bug")
-    return PluckerPolynomial(r, n, {b: y // d for b, y in support})
+    return PluckerPolynomial._of(r, n, {b: y // d for b, y in support})
 
 
 def straighten(
@@ -498,7 +495,6 @@ def straighten(
         by_content.setdefault(monomial_content(rows, f.n), {})[rows] = c
     result = PluckerPolynomial.zero(f.r, f.n)
     for cont in sorted(by_content):
-        comp = PluckerPolynomial.zero(f.r, f.n)
-        comp.terms = by_content[cont]
+        comp = PluckerPolynomial._of(f.r, f.n, by_content[cont])
         result = result + _straighten_component(comp, cont, bound, seed)
     return result

@@ -145,7 +145,7 @@ def _completion_table(shape_rows: int, r: int, n: int, bound, content) -> dict:
 
     d = shape_rows
     bound_vals = bound.values if bound is not None else tuple(range(n - r + 1, n + 1))
-    table: dict[tuple[int, tuple[int, ...]], tuple[int, list]] = {}
+    table: dict[tuple[int, tuple[int, ...]], tuple[int, list[tuple[int, ...]]]] = {}
 
     def completions(v: int, shape: tuple[int, ...]) -> int:
         entry = table.get((v, shape))
@@ -168,12 +168,7 @@ def _completion_table(shape_rows: int, r: int, n: int, bound, content) -> dict:
                         count = completions(v + 1, nxt)
                         if count:
                             total += count
-                            cells = [
-                                (i, j)
-                                for j, (s, t) in enumerate(zip(shape, nxt))
-                                for i in range(s, t)
-                            ]
-                            nexts.append((nxt, cells))
+                            nexts.append(nxt)
                 entry = (total, nexts)
             table[(v, shape)] = entry
         return entry[0]
@@ -215,12 +210,20 @@ def enumerate_standard(
     table = _completion_table(shape_rows, r, n, bound, content)
     rows = [[0] * r for _ in range(shape_rows)]
     results: list[tuple[tuple[int, ...], ...]] = []
+    # the cells (row i, position j) that the strip of v + 1 into each next state fills
+    strips = {
+        (v, shape): [
+            (nxt, [(i, j) for j, (s, t) in enumerate(zip(shape, nxt)) for i in range(s, t)])
+            for nxt in nexts
+        ]
+        for (v, shape), (_, nexts) in table.items()
+    }
 
     def walk(v: int, shape: tuple[int, ...]):
         if v == n:
             results.append(tuple(map(tuple, rows)))
             return
-        for nxt, cells in table[(v, shape)][1]:
+        for nxt, cells in strips[(v, shape)]:
             for i, j in cells:
                 rows[i][j] = v + 1
             walk(v + 1, nxt)

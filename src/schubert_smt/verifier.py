@@ -12,7 +12,6 @@ from math import comb
 from ._record import Record
 from .invariant_ring import (
     hilbert_series,
-    invariant_basis,
     normality_probe,
     tableau_monomial,
 )
@@ -412,7 +411,7 @@ CASE_NAMES = ("lemma", "appendix", "theorem", "proposition", "remarks")
 
 
 def run_cases(case: str, n: int, seed: int = 0, k_max: int = 3) -> list[VerificationReport]:
-    """Run one named case or all of them; results in canonical order."""
+    """Run one named case or all of them, in canonical order; all reject n < 2."""
     jobs = {
         "lemma": lambda: verify_product_relation(n, seed=seed),
         "appendix": lambda: verify_exchange_identities(n, seed=seed),
@@ -420,6 +419,8 @@ def run_cases(case: str, n: int, seed: int = 0, k_max: int = 3) -> list[Verifica
         "proposition": lambda: verify_quotient_dimensions(n, k_max=k_max, seed=seed),
         "remarks": lambda: verify_minimal_cases(seed=seed),
     }
+    if n < 2:
+        raise ValueError(f"need n >= 2, got {n}")
     if case == "all":
         selected = list(CASE_NAMES)
     elif case in jobs:

@@ -180,7 +180,7 @@ def test_criterion_09_oracle_property_suite():
         # (c) every interpolation cell that was exercised reached full
         # column rank; straighten without a bound samples X(top)
         for degree, cont in cells_used:
-            cell = _interpolation_cell(3, 6, degree, cont, top_element(3, 6), 0)
+            cell = _interpolation_cell(top_element(3, 6), cont, 0)
             assert cell.basis and cell.solver.ok
 
 

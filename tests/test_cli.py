@@ -329,6 +329,14 @@ class TestVerifyCommand:
         assert code == EXIT_VERIFICATION_FAILED
         assert "FAILURES" in out
 
+    @pytest.mark.parametrize("case", ["lemma", "appendix", "theorem", "proposition", "remarks", "all"])
+    @pytest.mark.parametrize("n", [-5, 1])
+    def test_rank_below_two_exits_2(self, capsys, case, n):
+        # `remarks` ignores n, and echoed a negative rank with a pass
+        code, out, err = run_cli(capsys, ["verify", "--case", case, "--n", str(n), "--json"])
+        assert (code, out) == (EXIT_USAGE, "")
+        assert "need n >= 2" in err
+
     def test_bad_case_exits_2(self, capsys):
         code, _, _ = run_cli(capsys, ["verify", "--case", "bogus", "--n", "3"])
         assert code == EXIT_USAGE

@@ -6,8 +6,12 @@ from math import comb
 import pytest
 
 from schubert_smt import (
+    BasisMismatchError,
+    IndexTuple,
+    Tableau,
     content,
     distinguished_w,
+    enumerate_standard,
     generation_degree_probe,
     hilbert_series,
     invariant_basis,
@@ -58,16 +62,15 @@ class TestInvariantBasis:
 
     def test_minimal_variety_is_a_single_power(self):
         basis = invariant_basis(distinguished_w(1, 3), 2)
-        assert tableaux_rows(basis.tableaux) == [
-            ((1, 3, 5), (1, 3, 5), (2, 4, 6), (2, 4, 6))
-        ]
+        assert basis.monomials == (((1, 3, 5), (1, 3, 5), (2, 4, 6), (2, 4, 6)),)
+        assert tableaux_rows(basis) == list(basis.monomials)
 
     def test_first_degree_on_the_three_space_slot(self):
         w4 = distinguished_w(4, 4)
         basis = invariant_basis(w4, 1)
         assert len(basis) == 4
         oracle = brute_force_standard(2, 4, 8, bound=w4.values, content=(1,) * 8)
-        assert tableaux_rows(basis.tableaux) == oracle
+        assert list(basis.monomials) == tableaux_rows(basis) == oracle
 
     def test_every_element_is_standard_invariant_of_right_weight(self):
         w = distinguished_w(5, 3)
@@ -82,6 +85,33 @@ class TestInvariantBasis:
             invariant_basis(distinguished_w(5, 3), 0)
         with pytest.raises(ValueError):
             invariant_basis(make_index_tuple((2, 3), 5), 1)
+
+    @pytest.mark.parametrize("r", [3, 4])
+    def test_position_is_the_enumeration_index(self, r):
+        n = 2 * r
+        for values in itertools.combinations(range(1, n + 1), r):
+            w = make_index_tuple(values, n)
+            for k in (1, 2):
+                basis = invariant_basis(w, k)
+                listed = enumerate_standard(2 * k, r, n, bound=w, content=(k,) * n)
+                assert len(basis) == len(listed)
+                for i, t in enumerate(listed):
+                    assert basis.position(t.row_values()) == i
+
+    def test_position_rejects_a_monomial_outside_the_basis(self):
+        w = distinguished_w(5, 3)
+        basis = invariant_basis(w, 2)
+        nonstandard = tuple(sorted(((1, 2, 5), (3, 4, 6), (1, 3, 4), (2, 5, 6))))
+        assert not plucker.rows_are_standard(nonstandard, w.values)
+        outside = [
+            nonstandard,
+            invariant_basis(w, 1).monomials[0],  # of the wrong degree
+            (),  # before every basis element
+            ((4, 5, 6),) * 4,  # after every basis element
+        ]
+        for rows in outside:
+            with pytest.raises(BasisMismatchError):
+                basis.position(rows)
 
     def test_dimension_monotone_along_the_chain(self):
         chain = [distinguished_w(i, 3) for i in (1, 2, 4, 5)]
@@ -230,6 +260,23 @@ class TestSpanProbeMechanism:
     """The probes add standard products as unit vectors and straighten
     the others only while the span is short of R_d."""
 
+    def test_warm_generation_probe_builds_no_tableau(self, monkeypatch):
+        # the engine works on the cached monomials; a tableau is built
+        # only for output and for a product it straightens
+        w = distinguished_w(5, 3)
+        expected = generation_degree_probe(w, 3)  # warms the caches
+        built = []
+        for cls in (Tableau, IndexTuple):
+            original = cls.__init__
+
+            def counting(self, *args, _original=original, **kwargs):
+                built.append(type(self).__name__)
+                _original(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counting)
+        assert generation_degree_probe(w, 3) == expected
+        assert built == []
+
     def test_degree_four_generation_builds_no_cell(self, straightened_products):
         plucker._interpolation_cell.cache_clear()
         reports = generation_degree_probe(distinguished_w(5, 3), 4)
@@ -277,8 +324,8 @@ class TestSpanProbesMatchTheReference:
         # terms, and non-standard ones among them
         w = distinguished_w(5, 3)
         bases = {d: invariant_basis(w, d) for d in (1, 2, 3)}
-        rows = bases[2].tableaux
-        combinations = [[(1, t) for t in rows[i:]] for i in range(len(rows))]
+        rows = bases[2].monomials
+        combinations = [[(1, m) for m in rows[i:]] for i in range(len(rows))]
         unit = invariant_ring._generated_span(
             {1: invariant_ring._whole_piece(bases[1]), 2: invariant_ring._whole_piece(bases[2])},
             bases, 3, seed=0,

@@ -340,7 +340,7 @@ class TestStraighten:
         w = distinguished_w(5, 5)
         seed = 4200132
         plucker._interpolation_cell.cache_clear()
-        cell = plucker._interpolation_cell(5, 10, 4, (2,) * 10, w, seed)
+        cell = plucker._interpolation_cell(w, (2,) * 10, seed)
         plucker._interpolation_cell.cache_clear()
         size = len(cell.basis)
         assert size == 16 and len(cell.points) == size + 2 * plucker.EXTRA_SAMPLES
@@ -392,7 +392,7 @@ class TestStraighten:
         target = bound if bound is not None else top_element(f.r, f.n)
         contents = {monomial_content(rows, f.n) for rows in f.terms}
         assert len(contents) == 2
-        sizes = [len(plucker._standard_basis(f.r, f.n, f.degree, c, target)) for c in contents]
+        sizes = [len(plucker._standard_basis(target, c)) for c in contents]
         tags = []
         original = plucker.random_schubert_point
 
@@ -446,7 +446,7 @@ class TestStraighten:
                         for rows in itertools.combinations_with_replacement(below, degree):
                             if rows_are_standard(rows):
                                 continue
-                            basis = enumerate_cell(r, n, degree, monomial_content(rows, n), w)
+                            basis = enumerate_cell(w, monomial_content(rows, n))
                             columns_sorted = tuple(zip(*(sorted(c) for c in zip(*rows))))
                             assert columns_sorted in basis
                             checked += 1
