@@ -33,6 +33,7 @@ from .plucker import (
     random_point,
     random_schubert_point,
     restrict,
+    sample_generator,
     straighten,
     two_row_exchange,
 )

@@ -295,16 +295,16 @@ class MinorTable(dict):
     """The r x r minors of one integer r x n matrix, keyed by column
     tuple and computed on first lookup.
 
-    The table keeps the matrix by column.  A minor hands its columns to
-    `det_int` as rows, uncopied: the determinant of the transpose is the
-    same.
+    The table is built from the matrix's n columns, each a tuple of r
+    entries, and keeps them.  A minor hands its columns to `det_int` as
+    rows, uncopied: the determinant of the transpose is the same.
     """
 
     __slots__ = ("columns",)
 
-    def __init__(self, matrix: Matrix):
+    def __init__(self, columns: Matrix):
         super().__init__()
-        self.columns = tuple(zip(*matrix))
+        self.columns = columns
 
     def __missing__(self, cols: Row) -> int:
         columns = self.columns
@@ -321,16 +321,17 @@ def monomial_value(rows: Monomial, minors: MinorTable) -> int:
     return value
 
 
-def _value(f: PluckerPolynomial, minors: MinorTable) -> int:
+def value_at(f: PluckerPolynomial, minors: MinorTable) -> int:
+    """Exact value of f at the point whose minor table is given."""
     return sum(c * monomial_value(rows, minors) for rows, c in f.terms.items())
 
 
 def evaluate(f: PluckerPolynomial, matrix) -> int:
-    """Exact value of f at an integer r x n matrix."""
+    """Exact value of f at an integer r x n matrix, given by row."""
     matrix = tuple(tuple(int(v) for v in row) for row in matrix)
     if len(matrix) != f.r or any(len(row) != f.n for row in matrix):
         raise ValueError(f"matrix is not {f.r} x {f.n}")
-    return _value(f, MinorTable(matrix))
+    return value_at(f, MinorTable(tuple(zip(*matrix))))
 
 
 def restrict(f: PluckerPolynomial, w: IndexTuple) -> PluckerPolynomial:
@@ -349,30 +350,31 @@ def restrict(f: PluckerPolynomial, w: IndexTuple) -> PluckerPolynomial:
 # -- random points -----------------------------------------------------
 
 
-def random_schubert_point(w: IndexTuple, seed) -> Matrix:
-    """An integer r x n matrix whose row space lies in X(w).
+def sample_generator(w: IndexTuple, seed) -> random.Random:
+    """The generator of the sample stream of X(w) for one seed."""
+    return random.Random(f"schubert:{w.n}:{','.join(map(str, w.values))}:{seed}")
 
-    Rows are b.e_{w(i)} for a random unit upper-triangular integer b, so
-    every minor p_tau with tau not below w vanishes.  Deterministic in
-    the seed.
+
+_ENTRIES = tuple(range(-TRIANGULAR_ENTRY_BOUND, TRIANGULAR_ENTRY_BOUND + 1))
+
+
+def random_schubert_point(w: IndexTuple, rng: random.Random) -> Matrix:
+    """The next point of a sample stream of X(w): an integer r x n matrix
+    whose row space lies in X(w), returned as its n columns.
+
+    Row i is column w_i of a random unit upper-triangular integer b, so
+    every minor p_tau with tau not below w vanishes.  Only the w_i - 1
+    entries above the diagonal are random: uniform in [-3, 3], drawn for
+    all rows in one `rng.choices` call, row after row.
     """
-    # rng.randint(-3, 3) draws getrandbits(3) until it is below 7; drawing
-    # that way directly gives the same stream without the call chain.
-    getrandbits = random.Random(
-        f"schubert:{w.n}:{','.join(map(str, w.values))}:{seed}"
-    ).getrandbits
-    n = w.n
-    width = 2 * TRIANGULAR_ENTRY_BOUND + 1
-    bits = width.bit_length()
-    b = [[0] * n for _ in range(n)]
-    for i in range(n):
-        b[i][i] = 1
-        for j in range(i + 1, n):
-            k = getrandbits(bits)
-            while k >= width:
-                k = getrandbits(bits)
-            b[i][j] = k - TRIANGULAR_ENTRY_BOUND
-    return tuple(tuple(b[l][c - 1] for l in range(n)) for c in w.values)
+    values, n = w.values, w.n
+    entries = rng.choices(_ENTRIES, k=sum(values) - len(values))
+    rows, start = [], 0
+    for v in values:
+        stop = start + v - 1
+        rows.append(entries[start:stop] + [1] + [0] * (n - v))
+        start = stop
+    return tuple(zip(*rows))
 
 
 def random_point(r: int, n: int, seed) -> Matrix:
@@ -398,13 +400,23 @@ class _Cell(Record):
     solver: GaussSolver
 
 
-# The point and cell caches hold one operation's work: no verify, probe
-# or straighten call measured uses more than 134 points or 3 cells, and a
-# cell keeps its own points alive.  Older seeds' cells leave soon.
-@lru_cache(maxsize=256)
-def _point(bound: IndexTuple, tag: str) -> MinorTable:
-    """One sample point of X(bound), with the minors computed at it so far."""
-    return MinorTable(random_schubert_point(bound, tag))
+# The stream and cell caches hold one operation's work: no verify, probe
+# or straighten call measured uses more than one stream or 3 cells, and a
+# cell keeps its own points alive.  Older seeds' streams and cells leave soon.
+@lru_cache(maxsize=16)
+def _stream(bound: IndexTuple, seed) -> tuple[random.Random, list[MinorTable]]:
+    """The sample stream of X(bound) for one seed: its generator and the
+    points drawn from it so far, each with the minors computed at it."""
+    return sample_generator(bound, seed), []
+
+
+def _sample(bound: IndexTuple, seed, count: int) -> tuple[MinorTable, ...]:
+    """The first `count` points of the (bound, seed) stream, drawing the
+    ones not drawn yet."""
+    rng, points = _stream(bound, seed)
+    while len(points) < count:
+        points.append(MinorTable(random_schubert_point(bound, rng)))
+    return tuple(points[:count])
 
 
 @lru_cache(maxsize=256)
@@ -429,17 +441,14 @@ def _interpolation_cell(bound: IndexTuple, content: tuple[int, ...], seed) -> _C
     basis = _standard_basis(bound, content)
     count = len(basis) + EXTRA_SAMPLES
     cap = 8 * count
-    points, matrix = [], []
+    matrix = []
     while True:
-        for idx in range(len(points), count):
-            # the 0 is part of the tag stream that every pinned fixed-seed
-            # output (tests/golden) was made with; dropping it changes them
-            point = _point(bound, f"{seed}:cell:0:{idx}")
-            points.append(point)
-            matrix.append([monomial_value(b, point) for b in basis])
+        points = _sample(bound, seed, count)
+        for m in points[len(matrix):]:
+            matrix.append([monomial_value(b, m) for b in basis])
         solver = GaussSolver(matrix)
         if solver.ok:
-            return _Cell(basis=basis, points=tuple(points), solver=solver)
+            return _Cell(basis=basis, points=points, solver=solver)
         if count >= cap:
             raise RankDeficientError(
                 f"rank {rank_int(matrix)} < B={len(basis)} at {count} sample points "
@@ -453,7 +462,7 @@ def _straighten_component(
 ) -> PluckerPolynomial:
     r, n, degree = comp.r, comp.n, comp.degree
     cell = _interpolation_cell(bound, cont, seed)
-    rhs = [_value(comp, m) for m in cell.points]
+    rhs = [value_at(comp, m) for m in cell.points]
     solved = cell.solver.solve(rhs)
     if solved is None:
         # at full column rank more points cannot help

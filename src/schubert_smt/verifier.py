@@ -16,7 +16,16 @@ from .invariant_ring import (
     tableau_monomial,
 )
 from .lattice import IndexTuple, distinguished_w, top_element
-from .plucker import PluckerPolynomial, plucker_relation, random_schubert_point, evaluate, restrict, straighten
+from .plucker import (
+    MinorTable,
+    PluckerPolynomial,
+    plucker_relation,
+    random_schubert_point,
+    restrict,
+    sample_generator,
+    straighten,
+    value_at,
+)
 from .tableaux import Tableau, is_standard, is_torus_invariant, make_tableau
 
 
@@ -229,10 +238,11 @@ def verify_product_relation(n: int, seed: int = 0) -> VerificationReport:
     rhs = x[0] * x[3] - y[1] - y[0] + x[4] * (x[0] - x[1] - x[2] + x[3] - x[4])
     difference = lhs - rhs
     residual = straighten(difference, w5, seed=seed)
-    points = [random_schubert_point(w5, f"{seed}:relation:{i}") for i in range(100)]
+    rng = sample_generator(w5, f"{seed}:relation")
+    points = [MinorTable(random_schubert_point(w5, rng)) for _ in range(100)]
     # evaluation is linear, so lhs and rhs agree at a point iff their
     # difference vanishes there; one evaluation computes each minor once
-    eval_ok = all(evaluate(difference, m) == 0 for m in points)
+    eval_ok = all(value_at(difference, m) == 0 for m in points)
     ok = residual.is_zero() and eval_ok
     return VerificationReport(
         name="product-relation",

@@ -3,16 +3,18 @@
 Everything here recomputes expected values by a route different from the
 implementation under test: brute-force enumeration over all row
 multisets, the row-by-row backtracker that enumeration used before it
-walked horizontal strips, simple-reflection action on value sets, and
-function-level rank computations straight from the determinant oracle,
-and span probes that straighten every product.
+walked horizontal strips, the Schubert-point sampler drawn entry by
+entry, simple-reflection action on value sets, function-level rank
+computations straight from the determinant oracle, and span probes that
+straighten every product.  `recording_cells` and `grew` let a test check
+that the cells it relies on really grew.
 """
 
 import itertools
-import random
+import math
 from fractions import Fraction
 
-from schubert_smt import make_index_tuple, make_tableau
+from schubert_smt import make_index_tuple, make_tableau, plucker
 from schubert_smt.invariant_ring import (
     GenerationReport,
     NormalityReport,
@@ -20,7 +22,7 @@ from schubert_smt.invariant_ring import (
     multiply_to_coordinates,
 )
 from schubert_smt.linalg import IntRowSpan
-from schubert_smt.plucker import evaluate, random_schubert_point
+from schubert_smt.plucker import MinorTable, random_schubert_point, sample_generator, value_at
 
 
 def brute_force_standard(shape_rows, r, n, bound=None, content=None):
@@ -211,25 +213,49 @@ def leibniz_det(matrix):
     return total
 
 
-def reference_schubert_point(w, seed):
-    """The Schubert-point sampler drawn entry by entry with rng.randint(-3, 3);
-    the package's sampler must return exactly these matrices."""
-    rng = random.Random(f"schubert:{w.n}:{','.join(map(str, w.values))}:{seed}")
+def reference_schubert_point(w, rng):
+    """The next Schubert point of a sample stream, drawn entry by entry.
+
+    b is unit upper triangular; for each value c of w in order, its
+    entries b[0][c-1], ..., b[c-2][c-1] are the next draws of
+    floor(7 * rng.random()) - 3.  Returns the r x n matrix with rows
+    b.e_{w(i)} by row; the package's sampler must return its columns and
+    leave the generator in the same state."""
     n = w.n
-    b = [[0] * n for _ in range(n)]
-    for i in range(n):
-        b[i][i] = 1
-        for j in range(i + 1, n):
-            b[i][j] = rng.randint(-3, 3)
+    b = [[int(l == c) for c in range(n)] for l in range(n)]
+    for c in w.values:
+        for l in range(c - 1):
+            b[l][c - 1] = math.floor(7 * rng.random()) - 3
     return tuple(tuple(b[l][c - 1] for l in range(n)) for c in w.values)
+
+
+def schubert_points(w, seed_tag, n_points):
+    """The first points of the (w, seed_tag) sample stream, as minor tables."""
+    rng = sample_generator(w, seed_tag)
+    return [MinorTable(random_schubert_point(w, rng)) for _ in range(n_points)]
 
 
 def function_rank(polys, w, n_points, seed_tag):
     """Rank of a family of polynomials as functions on the cone over X(w),
     via evaluation at random points only (no straightening involved)."""
-    points = [random_schubert_point(w, f"{seed_tag}:{i}") for i in range(n_points)]
-    matrix = [[evaluate(p, m) for m in points] for p in polys]
+    points = schubert_points(w, seed_tag, n_points)
+    matrix = [[value_at(p, m) for m in points] for p in polys]
     return fraction_rank(matrix)
+
+
+def recording_cells(monkeypatch):
+    """A list that receives every interpolation cell straightening uses."""
+    cells = []
+    build = plucker._interpolation_cell
+    monkeypatch.setattr(
+        plucker, "_interpolation_cell", lambda *args: cells.append(build(*args)) or cells[-1]
+    )
+    return cells
+
+
+def grew(cell):
+    """Whether a cell drew more than its first B + EXTRA_SAMPLES points."""
+    return len(cell.points) > len(cell.basis) + plucker.EXTRA_SAMPLES
 
 
 def tab(rows, n):

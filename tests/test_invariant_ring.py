@@ -30,6 +30,8 @@ from schubert_smt import invariant_ring, plucker
 from helpers import (
     brute_force_standard,
     function_rank,
+    grew,
+    recording_cells,
     reference_generation_probe,
     reference_normality_probe,
     tableaux_rows,
@@ -202,10 +204,12 @@ class TestNormalityProbe:
         assert normality_probe(distinguished_w(4, 3), 2).spanned
         assert normality_probe(distinguished_w(1, 3), 2).spanned
 
-    def test_spanned_at_rank_six_where_the_first_sample_is_short(self):
+    def test_spanned_at_rank_six_where_the_first_sample_is_short(self, monkeypatch):
         # at seed 0 the probe's B = 30 cell is rank-deficient at B + 8
         # points and grows
+        cells = recording_cells(monkeypatch)
         report = normality_probe(make_index_tuple((3, 5, 6, 9, 10, 12), 12), 2)
+        assert any(len(cell.basis) == 30 and grew(cell) for cell in cells)
         assert report.spanned
         assert report.dim_lower_products == report.dim_graded_piece == 30
 

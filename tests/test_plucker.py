@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from schubert_smt import (
     PluckerPolynomial,
@@ -26,9 +26,17 @@ from schubert_smt.plucker import (
     StraighteningError,
     monomial_content,
     rows_are_standard,
+    sample_generator,
+    value_at,
 )
 
-from helpers import fraction_det, leibniz_det, reference_schubert_point
+from helpers import (
+    fraction_det,
+    leibniz_det,
+    recording_cells,
+    reference_schubert_point,
+    schubert_points,
+)
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -193,66 +201,83 @@ class TestRestrict:
 class TestRandomSchubertPoint:
     def test_point_variety_supported_on_first_columns(self):
         w = make_index_tuple((1, 2, 3), 6)
-        m = random_schubert_point(w, 4)
-        for i in range(3):
-            assert all(m[i][c] == 0 for c in range(3, 6))
-        assert MinorTable(m)[(1, 2, 3)] == 1  # principal block of a unit triangular
+        columns = random_schubert_point(w, sample_generator(w, 4))
+        assert columns[3:] == ((0, 0, 0),) * 3
+        assert MinorTable(columns)[(1, 2, 3)] == 1  # principal block of a unit triangular
 
     def test_deterministic_in_seed(self):
         w = distinguished_w(5, 4)
-        assert random_schubert_point(w, 12) == random_schubert_point(w, 12)
-        assert random_schubert_point(w, 12) != random_schubert_point(w, 13)
+        first = random_schubert_point(w, sample_generator(w, 12))
+        assert first == random_schubert_point(w, sample_generator(w, 12))
+        assert first != random_schubert_point(w, sample_generator(w, 13))
+        stream = sample_generator(w, 12)
+        assert random_schubert_point(w, stream) == first
+        assert random_schubert_point(w, stream) != first
 
     @pytest.mark.parametrize(
         "w_values", [(2, 4, 6), (3, 4, 6), (2, 5, 6), (4, 5, 6), (1, 2, 3)]
     )
     def test_minors_vanish_above_w(self, w_values):
         w = make_index_tuple(w_values, 6)
-        for seed in range(5):
-            minors = MinorTable(random_schubert_point(w, seed))
-            for tau in itertools.combinations(range(1, 7), 3):
-                if not all(a <= b for a, b in zip(tau, w_values)):
-                    assert minors[tau] == 0
+        for seed in range(2):
+            for minors in schubert_points(w, seed, 3):
+                for tau in itertools.combinations(range(1, 7), 3):
+                    if not all(a <= b for a, b in zip(tau, w_values)):
+                        assert minors[tau] == 0
 
     def test_generic_point_has_full_rank(self):
         from schubert_smt.linalg import rank_int
 
+        w = distinguished_w(3, 3)
+        stream = sample_generator(w, 0)
         for seed in range(10):
             assert rank_int(random_point(3, 6, seed)) == 3
-            assert rank_int(random_schubert_point(distinguished_w(3, 3), seed)) == 3
+            assert rank_int(random_schubert_point(w, stream)) == 3
 
-    def test_same_points_as_the_randint_sampler(self):
+    def test_same_points_as_the_reference_sampler(self):
+        # consecutive points, so each one also leaves the generator where
+        # the entry-by-entry reference leaves it
         ws = [distinguished_w(i, n) for i in range(1, 6) for n in range(3, 7)]
         ws.append(top_element(4, 8))
-        seeds = [0, 1, 7, 4200132, "s:cell:1:3", "9:verify:0:5", "relation:12"]
+        ws.append(top_element(5, 10))
+        seeds = [0, 1, 7, 4200132, "s", "9:relation"]
         for w in ws:
             for seed in seeds:
-                assert random_schubert_point(w, seed) == reference_schubert_point(w, seed)
+                stream, reference = sample_generator(w, seed), sample_generator(w, seed)
+                for _ in range(3):
+                    columns = random_schubert_point(w, stream)
+                    assert columns == tuple(zip(*reference_schubert_point(w, reference)))
 
     def test_every_minor_matches_rational_determinant(self):
         # the table reads columns; the oracle builds each submatrix from rows
         ws = [distinguished_w(i, n) for i in range(1, 6) for n in (3, 4)]
         ws.append(top_element(4, 8))
         for w in ws:
-            for seed in (0, 7, "s:cell:1:3"):
-                m = random_schubert_point(w, seed)
-                minors = MinorTable(m)
-                for cols in itertools.combinations(range(1, w.n + 1), w.r):
-                    expected = fraction_det([[row[c - 1] for c in cols] for row in m])
-                    assert minors[cols] == expected
+            for seed in (0, 7, "s"):
+                for minors in schubert_points(w, seed, 2):
+                    m = tuple(zip(*minors.columns))
+                    for cols in itertools.combinations(range(1, w.n + 1), w.r):
+                        expected = fraction_det([[row[c - 1] for c in cols] for row in m])
+                        assert minors[cols] == expected
 
     def test_pinned_points(self):
         # literal values, so a change in the standard library's generator shows too
-        assert random_schubert_point(distinguished_w(5, 3), 0) == (
-            (3, 2, -2, 1, 0, 0),
-            (2, 0, -3, -1, 1, 0),
-            (-1, -3, 0, 0, 3, 1),
+        w = distinguished_w(5, 3)
+        assert random_schubert_point(w, sample_generator(w, 0)) == (
+            (3, 2, -1), (-3, 3, 3), (1, -3, 2), (1, 3, 2), (0, 1, 2), (0, 0, 1),
         )
-        assert random_schubert_point(top_element(4, 8), "s:cell:1:3") == (
-            (3, 3, -1, 0, 1, 0, 0, 0),
-            (-1, 0, 3, -3, 2, 1, 0, 0),
-            (-2, -1, -2, 3, -3, 2, 1, 0),
-            (1, -1, 2, -1, 1, 2, 0, 1),
+        w = top_element(4, 8)
+        stream = sample_generator(w, "s")
+        random_schubert_point(w, stream)
+        assert random_schubert_point(w, stream) == (
+            (-3, -3, -3, 0),
+            (1, -1, -1, 2),
+            (-1, 2, -2, -2),
+            (-3, 2, 1, 2),
+            (1, -3, 0, 2),
+            (0, 1, -1, -1),
+            (0, 0, 1, 1),
+            (0, 0, 0, 1),
         )
 
 
@@ -277,7 +302,7 @@ class TestMinorTable:
         r, n = len(m), len(m[0])
         all_cols = list(itertools.combinations(range(1, n + 1), r))
         lookups = data.draw(st.lists(st.sampled_from(all_cols), min_size=1, max_size=30))
-        minors = MinorTable(m)
+        minors = MinorTable(tuple(zip(*m)))
         for cols in lookups:
             assert minors[cols] == fraction_det([[row[c - 1] for c in cols] for row in m])
         assert set(minors) == set(lookups)
@@ -320,33 +345,38 @@ class TestStraighten:
         assert straighten(f) == f
 
     def test_rank_deficiency_is_diagnosable(self, monkeypatch):
-        # One point for every tag: the sample never reaches rank B = 2, so
-        # the cell grows to its cap of 8 (B + 8) points and names the rank.
-        fixed = MinorTable(random_point(2, 4, "fixed"))
-        monkeypatch.setattr(plucker, "_point", lambda *args: fixed)
-        plucker._interpolation_cell.cache_clear()
+        # The same point at every draw: the sample never reaches rank B = 2,
+        # so the cell grows to its cap of 8 (B + 8) points and names the rank.
+        fixed = tuple(zip(*random_point(2, 4, "fixed")))
+        monkeypatch.setattr(plucker, "random_schubert_point", lambda w, rng: fixed)
+        caches = (plucker._interpolation_cell, plucker._stream)
+        for cache in caches:
+            cache.cache_clear()
         try:
             with pytest.raises(RankDeficientError) as err:
                 straighten(PluckerPolynomial.monomial(((1, 4), (2, 3)), 4), seed=1)
         finally:
-            plucker._interpolation_cell.cache_clear()
+            for cache in caches:
+                cache.cache_clear()
         message = str(err.value)
         assert "(degree=2, content=(1, 1, 1, 1)) cell" in message
         assert "rank 1 < B=2 at 80 sample points" in message
 
     def test_short_sample_grows_to_full_rank(self):
         # the degree-4 cell of the rank-five lemma at this seed is
-        # rank-deficient at B + 8 = 24 points; 8 more make it full rank
+        # rank-deficient at B + 8 = 24 points; 8 more from the same
+        # stream make it full rank
         w = distinguished_w(5, 5)
-        seed = 4200132
+        seed = 2
         plucker._interpolation_cell.cache_clear()
         cell = plucker._interpolation_cell(w, (2,) * 10, seed)
         plucker._interpolation_cell.cache_clear()
         size = len(cell.basis)
         assert size == 16 and len(cell.points) == size + 2 * plucker.EXTRA_SAMPLES
         assert cell.solver.ok
-        for idx, point in enumerate(cell.points):
-            assert point.columns == plucker._point(w, f"{seed}:cell:0:{idx}").columns
+        stream = sample_generator(w, seed)
+        for point in cell.points:
+            assert point.columns == random_schubert_point(w, stream)
         matrix = [[plucker.monomial_value(b, m) for b in cell.basis] for m in cell.points]
         assert not GaussSolver(matrix[:size + plucker.EXTRA_SAMPLES]).ok
 
@@ -367,20 +397,26 @@ class TestStraighten:
         original = plucker._standard_basis
         monkeypatch.setattr(plucker, "_standard_basis", lambda *args: original(*args)[:-1])
         sampled = []
-        point = plucker._point
-        monkeypatch.setattr(plucker, "_point", lambda *args: sampled.append(args) or point(*args))
-        plucker._interpolation_cell.cache_clear()
+        point = plucker.random_schubert_point
+        monkeypatch.setattr(
+            plucker, "random_schubert_point", lambda *args: sampled.append(args) or point(*args)
+        )
+        caches = (plucker._interpolation_cell, plucker._stream)
+        for cache in caches:
+            cache.cache_clear()
         try:
             with pytest.raises(StraighteningError, match="inconsistent"):
                 straighten(PluckerPolynomial.monomial(((1, 4), (2, 3)), 4), seed=1)
         finally:
-            plucker._interpolation_cell.cache_clear()
+            for cache in caches:
+                cache.cache_clear()
         assert len(sampled) == 1 + plucker.EXTRA_SAMPLES
 
     @pytest.mark.parametrize("bound", [None, distinguished_w(5, 3)])
     def test_two_content_polynomial_samples_each_point_once(self, monkeypatch, bound):
-        # both weight cells draw from the same seeded points, so a point
-        # they share is sampled once; without a bound they sample X(top)
+        # both weight cells take their points from one seeded stream, so
+        # the smaller cell's points are the first points of the larger
+        # and each is drawn once; without a bound they sample X(top)
         if bound is None:
             f = PluckerPolynomial.monomial(((1, 4), (2, 3)), 4) + PluckerPolynomial.monomial(
                 ((1, 4), (2, 4)), 4
@@ -393,25 +429,30 @@ class TestStraighten:
         contents = {monomial_content(rows, f.n) for rows in f.terms}
         assert len(contents) == 2
         sizes = [len(plucker._standard_basis(target, c)) for c in contents]
-        tags = []
+        streams = []
         original = plucker.random_schubert_point
 
-        def counting(w, tag):
+        def counting(w, rng):
             assert w == target
-            tags.append(tag)
-            return original(w, tag)
+            streams.append(rng)
+            return original(w, rng)
 
-        monkeypatch.setattr(plucker, "random_schubert_point", counting)
-        for cache in (plucker._interpolation_cell, plucker._point):
+        caches = (plucker._interpolation_cell, plucker._stream)
+        for cache in caches:
             cache.cache_clear()
+        monkeypatch.setattr(plucker, "random_schubert_point", counting)
+        cells = recording_cells(monkeypatch)
         try:
             g = straighten(f, bound, seed=5)
         finally:
-            for cache in (plucker._interpolation_cell, plucker._point):
+            for cache in caches:
                 cache.cache_clear()
         assert not g.is_zero()
-        assert len(tags) == len(set(tags))
-        assert len(tags) == max(sizes) + plucker.EXTRA_SAMPLES
+        assert len(streams) == max(sizes) + plucker.EXTRA_SAMPLES
+        assert all(rng is streams[0] for rng in streams)
+        small, large = sorted((cell.points for cell in cells), key=len)
+        assert len(small) < len(large)
+        assert all(p is q for p, q in zip(small, large))
 
     def test_unbounded_and_top_bounded_calls_share_one_cell(self):
         # without a bound straighten works on X(top), so the explicit top
@@ -492,9 +533,8 @@ class TestStraighten:
             f = PluckerPolynomial.monomial(rows, 6)
             g = straighten(f, w)
             assert all(rows_are_standard(r, w.values) for r in g.terms)
-            for i in range(20):
-                m = random_schubert_point(w, f"hb:{trial}:{i}")
-                assert evaluate(g, m) == evaluate(f, m)
+            for m in schubert_points(w, f"hb:{trial}", 20):
+                assert value_at(g, m) == value_at(f, m)
 
     def test_weight_cell_is_preserved(self):
         f = PluckerPolynomial.monomial(((1, 4), (2, 3)), 4)
@@ -547,9 +587,95 @@ class TestStraighten:
         w = distinguished_w(2, 3)
         f = PluckerPolynomial.monomial(((1, 4, 5), (2, 3, 6)), 6)
         g = straighten(f, w)
-        for i in range(30):
-            m = random_schubert_point(w, f"compat:{i}")
-            assert evaluate(g, m) == evaluate(f, m)
+        for m in schubert_points(w, "compat", 30):
+            assert value_at(g, m) == value_at(f, m)
+
+
+def _incomparable_pairs(r):
+    """(w, rows below w, the pairs of incomparable rows below w) for each w
+    of I(r, 2r) with such a pair: a monomial holding both rows of a pair
+    is not standard."""
+    n = 2 * r
+    rows = list(itertools.combinations(range(1, n + 1), r))
+    out = []
+    for w in rows:
+        below = [a for a in rows if all(x <= y for x, y in zip(a, w))]
+        pairs = [
+            (a, b)
+            for a, b in itertools.combinations(below, 2)
+            if not all(x <= y for x, y in zip(a, b))
+        ]
+        if pairs:
+            out.append((make_index_tuple(w, n), below, pairs))
+    return out
+
+
+INCOMPARABLE = {r: _incomparable_pairs(r) for r in (3, 4)}
+
+
+@st.composite
+def nonstandard_below(draw):
+    """(f, w): w in I(3, 6) or I(4, 8), and f a polynomial of degree 2 or
+    3 in rows below w with a term that is not standard."""
+    w, below, pairs = draw(st.sampled_from(INCOMPARABLE[draw(st.sampled_from((3, 4)))]))
+    degree = draw(st.integers(2, 3))
+    first = draw(st.sampled_from(pairs))
+    monomials = [first + tuple(draw(st.sampled_from(below)) for _ in range(degree - 2))]
+    for _ in range(draw(st.integers(0, 2))):
+        monomials.append(tuple(draw(st.sampled_from(below)) for _ in range(degree)))
+    coeffs = [draw(st.integers(1, 9)) * draw(st.sampled_from((1, -1))) for _ in monomials]
+    f = PluckerPolynomial(w.r, w.n, zip(monomials, coeffs))
+    assume(not all(rows_are_standard(rows) for rows in f.terms))
+    return f, w
+
+
+class TestSampleStream:
+    @PROPERTY
+    @given(nonstandard_below(), st.integers(0, 2**32), st.integers(0, 2**32))
+    def test_output_is_free_of_the_seed_and_growth_keeps_the_points(self, f_w, a, b):
+        # Seed a's cells are refused at their first B + 8 points, as if that
+        # sample were short, so every one of them grows; the expansion is
+        # that of seed b all the same, and each grown cell's first B + 8
+        # points are the objects it held before it grew.
+        assume(a != b)
+        f, w = f_w
+        builds = []  # the samples each cell build takes, in order
+        build, sample = plucker._interpolation_cell, plucker._sample
+
+        def recording_build(*args):
+            builds.append([])
+            return build(*args)
+
+        def recording_sample(*args):
+            builds[-1].append(sample(*args))
+            return builds[-1][-1]
+
+        def refusing(matrix):
+            solver = GaussSolver(matrix)
+            if len(matrix) == len(matrix[0]) + plucker.EXTRA_SAMPLES:
+                solver.ok = False
+            return solver
+
+        caches = (build, plucker._stream)
+        for cache in caches:
+            cache.cache_clear()
+        try:
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(plucker, "_interpolation_cell", recording_build)
+                patch.setattr(plucker, "_sample", recording_sample)
+                patch.setattr(plucker, "GaussSolver", refusing)
+                grown = straighten(f, w, seed=a)
+            expected = straighten(f, w, seed=b)
+        finally:
+            for cache in caches:
+                cache.cache_clear()
+        assert grown == expected
+        assert builds
+        for samples in builds:
+            assert len(samples) >= 2
+            for before, after in zip(samples, samples[1:]):
+                assert len(after) == len(before) + plucker.EXTRA_SAMPLES
+                assert all(x is y for x, y in zip(before, after))
 
 
 class TestTwoRowExchange:

@@ -231,11 +231,12 @@ class TestRunCases:
 
     @pytest.mark.parametrize("n", [5, 7])
     def test_each_interpolation_cell_is_built_once(self, n):
-        # the cases share the cell, point and basis caches; run in order,
+        # the cases share the cell, stream and basis caches; run in order,
         # no two of them can miss on the same key and both build its value,
         # and nothing is evicted and built again.  At n = 7 one call builds
-        # 2 cells and 32 points, so the cache bounds must hold a whole call.
-        caches = (plucker._interpolation_cell, plucker._point, plucker._standard_basis)
+        # 2 cells on one stream of 40 points, so the cache bounds must hold
+        # a whole call.
+        caches = (plucker._interpolation_cell, plucker._stream, plucker._standard_basis)
         for cache in caches:
             cache.cache_clear()
         try:
@@ -263,7 +264,7 @@ class TestRunCases:
 
         monkeypatch.setattr(plucker, "enumerate_standard", recording(enumerated, enumerate_standard))
         monkeypatch.setattr(invariant_ring, "count_standard", recording(counted, count_standard))
-        caches = (plucker._interpolation_cell, plucker._point, plucker._standard_basis)
+        caches = (plucker._interpolation_cell, plucker._stream, plucker._standard_basis)
         for cache in caches:
             cache.cache_clear()
         try:
