@@ -15,13 +15,10 @@ from .lattice import (
     top_element,
 )
 from .tableaux import (
-    Tableau,
-    content,
     count_standard,
     enumerate_standard,
-    is_standard,
-    is_torus_invariant,
-    make_tableau,
+    monomial_content,
+    rows_are_standard,
 )
 from .plucker import (
     PluckerPolynomial,
@@ -49,7 +46,6 @@ from .invariant_ring import (
     multiply_to_coordinates,
     normality_probe,
     semistable_nonempty,
-    tableau_monomial,
 )
 from .verifier import (
     QuotientGenerators,

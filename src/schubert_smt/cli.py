@@ -149,21 +149,26 @@ def _cmd_straighten(args) -> int:
     return EXIT_OK
 
 
+def _format_monomial(rows) -> str:
+    """A monomial's rows as text, such as [1,3,5 | 2,4,6]."""
+    return "[" + " | ".join(",".join(map(str, row)) for row in rows) + "]"
+
+
 def _cmd_basis(args) -> int:
     w = _parse_w(args.w, args.n2n)
     if args.invariant:
-        tableaux = list(invariant_basis(w, args.k))
+        monomials = invariant_basis(w, args.k).monomials
     else:
-        tableaux = enumerate_standard(2 * args.k, w.r, w.n, bound=w)
+        monomials = enumerate_standard(2 * args.k, w.r, w.n, bound=w)
     payload = {
         "w": list(w.values),
         "n": w.n,
         "k": args.k,
         "invariant_only": bool(args.invariant),
-        "count": len(tableaux),
-        "tableaux": [[list(row) for row in t.row_values()] for t in tableaux],
+        "count": len(monomials),
+        "tableaux": [[list(row) for row in rows] for rows in monomials],
     }
-    lines = [f"count: {len(tableaux)}"] + [str(t) for t in tableaux]
+    lines = [f"count: {len(monomials)}"] + [_format_monomial(rows) for rows in monomials]
     _emit(payload, lines, args)
     return EXIT_OK
 

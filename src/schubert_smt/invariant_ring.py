@@ -3,8 +3,9 @@
 The degree-k piece R_k on X(w), w in I(r, 2r), is spanned by the
 standard monomials with 2k rows of length r, bounded by w, in which
 every value 1..2r occurs exactly k times.  All probes below reduce to
-exact linear algebra in these coordinates.  The engine works on the
-monomials and builds a `Tableau` only for output and for straightening.
+exact linear algebra in these coordinates.  A standard monomial is its
+tuple of sorted rows throughout: bases, products, witnesses and reports
+hold the tuples that enumeration returns.
 """
 
 from bisect import bisect_left
@@ -12,14 +13,8 @@ from bisect import bisect_left
 from ._record import Record
 from .lattice import IndexTuple
 from .linalg import IntRowSpan
-from .plucker import (
-    Monomial,
-    PluckerPolynomial,
-    _standard_basis,
-    rows_are_standard,
-    straighten,
-)
-from .tableaux import Tableau, count_standard, is_standard, is_torus_invariant
+from .plucker import PluckerPolynomial, _standard_basis, straighten
+from .tableaux import Monomial, count_standard, monomial_content, rows_are_standard
 
 
 class BasisMismatchError(RuntimeError):
@@ -27,16 +22,12 @@ class BasisMismatchError(RuntimeError):
     weight and standardness are preserved, this signals a bug."""
 
 
-def _tableau(rows: Monomial, n: int) -> Tableau:
-    return Tableau(tuple(IndexTuple(row, n) for row in rows))
-
-
 class GradedPieceBasis(Record):
     """Basis of R_k on X(w): its standard monomials in canonical order.
 
     `monomials` is the tuple that the standard-basis cache holds.  The
     canonical order is the sorted order, so `position` bisects it.
-    Iteration yields each element as a new `Tableau`.
+    Iteration yields the monomials in that order.
     """
 
     __slots__ = ("w", "k", "monomials")
@@ -48,7 +39,7 @@ class GradedPieceBasis(Record):
         return len(self.monomials)
 
     def __iter__(self):
-        return (_tableau(rows, self.w.n) for rows in self.monomials)
+        return iter(self.monomials)
 
     def position(self, rows: Monomial) -> int:
         i = bisect_left(self.monomials, rows)
@@ -71,7 +62,7 @@ class NormalityReport(Record):
     dim_lower_products: int
     dim_graded_piece: int
     spanned: bool
-    cokernel_witnesses: tuple[Tableau, ...]
+    cokernel_witnesses: tuple[Monomial, ...]
 
     @property
     def cokernel_dim(self) -> int:
@@ -86,7 +77,7 @@ class NormalityReport(Record):
             "spanned": self.spanned,
             "cokernel_dim": self.cokernel_dim,
             "cokernel_witnesses": [
-                [list(row) for row in t.row_values()] for t in self.cokernel_witnesses
+                [list(row) for row in rows] for rows in self.cokernel_witnesses
             ],
         }
 
@@ -116,7 +107,7 @@ class SemistableReport(Record):
     __slots__ = ("w", "found", "witness", "degree", "cap")
     w: IndexTuple
     found: bool
-    witness: Tableau | None
+    witness: Monomial | None
     degree: int | None
     cap: int
 
@@ -124,7 +115,7 @@ class SemistableReport(Record):
         return {
             "w": list(self.w.values),
             "found": self.found,
-            "witness": [list(row) for row in self.witness.row_values()] if self.witness else None,
+            "witness": None if self.witness is None else [list(row) for row in self.witness],
             "degree": self.degree,
             "cap": self.cap,
         }
@@ -135,7 +126,7 @@ def invariant_basis(w: IndexTuple, k: int) -> GradedPieceBasis:
 
     The basis holds the very tuple of monomials that the standard-basis
     cache of straightening holds, so each basis is enumerated once per
-    process and no call builds a tableau.
+    process.
     """
     if k < 1:
         raise ValueError("degree must be >= 1")
@@ -144,22 +135,31 @@ def invariant_basis(w: IndexTuple, k: int) -> GradedPieceBasis:
     return GradedPieceBasis(w, k, _standard_basis(w, (k,) * w.n))
 
 
-def tableau_monomial(t: Tableau) -> PluckerPolynomial:
-    return PluckerPolynomial.monomial(t.row_values(), t.n)
+def _invariant_factor(rows: Monomial, w: IndexTuple) -> PluckerPolynomial:
+    """The monomial `rows` as a polynomial, once it is checked to be a
+    standard, torus-invariant monomial on X(w); ValueError otherwise.
+
+    The polynomial's constructor rejects a row of the wrong length, a
+    value outside 1..n and a row that does not strictly increase.
+    """
+    factor = PluckerPolynomial(w.r, w.n, [(rows, 1)])
+    (canonical,) = factor.terms
+    if not rows_are_standard(canonical, w.values):
+        raise ValueError(f"{rows} is not standard on X({w})")
+    counts = monomial_content(canonical, w.n)
+    if not counts[0] or counts.count(counts[0]) != w.n:
+        raise ValueError(f"{rows} is not torus invariant")
+    return factor
 
 
 def multiply_to_coordinates(
-    a: Tableau, b: Tableau, target: GradedPieceBasis, seed=0
+    a: Monomial, b: Monomial, target: GradedPieceBasis, seed=0
 ) -> list[int]:
     """Coordinates of the product a.b in the target invariant basis."""
-    for t in (a, b):
-        if not is_standard(t, target.w):
-            raise ValueError(f"{t} is not standard on X({target.w})")
-        if not is_torus_invariant(t):
-            raise ValueError(f"{t} is not torus invariant")
-    if len(a.rows) + len(b.rows) != 2 * target.k:
+    fa, fb = (_invariant_factor(rows, target.w) for rows in (a, b))
+    if len(a) + len(b) != 2 * target.k:
         raise ValueError("degrees do not sum to the target degree")
-    product = tableau_monomial(a) * tableau_monomial(b)
+    product = fa * fb
     expanded = straighten(product, target.w, seed=seed)
     coords = [0] * len(target)
     for rows, c in expanded.terms.items():
@@ -182,7 +182,7 @@ def _span_of_products(products: list[Product], target: GradedPieceBasis, seed) -
     are straightened on demand, each distinct monomial once per call.
     """
     dim = len(target)
-    n, bound = target.w.n, target.w.values
+    bound = target.w.values
     straightened: dict[Monomial, list[int]] = {}
 
     def vector(merged) -> list[int]:
@@ -192,8 +192,7 @@ def _span_of_products(products: list[Product], target: GradedPieceBasis, seed) -
                 vec[target.position(rows)] += c
                 continue
             if rows not in straightened:
-                a, b = (_tableau(f, n) for f in factors)
-                straightened[rows] = multiply_to_coordinates(a, b, target, seed=seed)
+                straightened[rows] = multiply_to_coordinates(*factors, target, seed=seed)
             vec = [x + c * y for x, y in zip(vec, straightened[rows])]
         return vec
 
@@ -254,7 +253,7 @@ def normality_probe(w: IndexTuple, d: int, seed=0) -> NormalityReport:
             unit = [0] * len(target)
             unit[pos] = 1
             if not span.contains(unit):
-                witnesses.append(_tableau(rows, w.n))
+                witnesses.append(rows)
     return NormalityReport(
         w=w,
         degree=d,
@@ -341,6 +340,6 @@ def semistable_nonempty(w: IndexTuple, cap: int = 2) -> SemistableReport:
         basis = invariant_basis(w, k)
         if len(basis):
             return SemistableReport(
-                w=w, found=True, witness=next(iter(basis)), degree=k, cap=cap
+                w=w, found=True, witness=basis.monomials[0], degree=k, cap=cap
             )
     return SemistableReport(w=w, found=False, witness=None, degree=None, cap=cap)

@@ -27,10 +27,8 @@ from functools import lru_cache
 from ._record import Record
 from .lattice import IndexTuple, top_element
 from .linalg import GaussSolver, det_int, rank_int
-from .tableaux import enumerate_standard, monomial_content, rows_are_standard
+from .tableaux import Monomial, Row, enumerate_standard, monomial_content, rows_are_standard
 
-Row = tuple[int, ...]
-Monomial = tuple[Row, ...]  # rows in canonical (lex-sorted) order
 Matrix = tuple[tuple[int, ...], ...]
 
 GENERIC_ENTRY_BOUND = 5     # generic evaluation points have entries in [-5, 5]
@@ -424,10 +422,7 @@ def _standard_basis(bound: IndexTuple, content: tuple[int, ...]) -> tuple[Monomi
     """The standard monomials of one weight cell of X(bound), in canonical
     (sorted) order; (r, n) come from the bound and the degree from the content."""
     degree = sum(content) // bound.r
-    return tuple(
-        t.row_values()
-        for t in enumerate_standard(degree, bound.r, bound.n, bound=bound, content=content)
-    )
+    return tuple(enumerate_standard(degree, bound.r, bound.n, bound=bound, content=content))
 
 
 @lru_cache(maxsize=16)

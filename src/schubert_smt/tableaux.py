@@ -1,83 +1,34 @@
-"""Rectangular Young tableaux made of Pluecker index rows.
+"""Standard monomials in the Pluecker coordinates, as tuples of rows.
 
-A tableau is a sequence of rows of equal length; each row is a strictly
-increasing tuple.  Standardness is the row-chain condition (successive
-rows weakly increase componentwise, optionally bounded by a Schubert
-representative), which for rectangular shapes is equivalent to the
-usual strict-rows / weak-columns filling condition.
+A monomial p_tau_1 ... p_tau_m is the tuple of its index rows, each a
+strictly increasing tuple of values, in lex-sorted (canonical) order.
+It is standard when its rows form a chain: successive rows weakly
+increase componentwise, optionally bounded by a Schubert representative.
+Read as columns, such rows form a semistandard Young tableau, so the
+standard monomials of one degree are the standard tableaux of a
+rectangular shape.
 
-Standard tableaux are enumerated, and counted, by adding the values
-1..n one horizontal strip at a time to the transposed tableau, with the
-number of completions of each partial shape memoised per call: the walk
-enters only shapes that complete, and a count never lists a tableau.
+Standard monomials are enumerated, and counted, by adding the values
+1..n one horizontal strip at a time to that tableau, with the number of
+completions of each partial shape memoised per call: the walk enters
+only shapes that complete, and a count never lists a monomial.
 """
 
 from itertools import product
 
-from ._record import Record, _set
 from .lattice import IndexTuple
 
-
-class Tableau(Record):
-    """Row list of IndexTuples, all sharing the same (r, n).
-
-    Enumeration builds one per output tableau, so its constructor,
-    equality and hash are written out.
-    """
-
-    __slots__ = ("rows",)
-    rows: tuple[IndexTuple, ...]
-
-    def __init__(self, rows):
-        rows = tuple(rows)
-        if not rows:
-            raise ValueError("tableau needs at least one row")
-        r, n = rows[0].r, rows[0].n
-        for row in rows[1:]:
-            if row.r != r or row.n != n:
-                raise ValueError("rows are not homogeneous in (r, n)")
-        _set(self, "rows", rows)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.rows == other.rows
-
-    def __hash__(self):
-        return hash((self.rows,))
-
-    @property
-    def r(self) -> int:
-        return self.rows[0].r
-
-    @property
-    def n(self) -> int:
-        return self.rows[0].n
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (len(self.rows), self.r)
-
-    def row_values(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(row.values for row in self.rows)
-
-    def __str__(self):
-        return "[" + " | ".join(",".join(map(str, row.values)) for row in self.rows) + "]"
+Row = tuple[int, ...]
+Monomial = tuple[Row, ...]  # rows in canonical (lex-sorted) order
 
 
-def make_tableau(rows) -> Tableau:
-    """Build a tableau from IndexTuple rows; standardness is not required."""
-    return Tableau(tuple(rows))
-
-
-def rows_are_standard(
-    rows: tuple[tuple[int, ...], ...], bound_values: tuple[int, ...] | None = None
-) -> bool:
+def rows_are_standard(rows: Monomial, bound_values: Row | None = None) -> bool:
     """Chain condition on rows, each a tuple of values, in the given order.
 
     A multiset of rows admits a standard arrangement iff its lex-sorted
     arrangement is one, so on canonically sorted monomial rows this
-    decides standardness of the monomial.
+    decides standardness of the monomial.  Rows are compared with `zip`,
+    so their lengths are the caller's to check.
     """
     for a, b in zip(rows, rows[1:]):
         if any(x > y for x, y in zip(a, b)):
@@ -88,33 +39,13 @@ def rows_are_standard(
     return True
 
 
-def monomial_content(rows: tuple[tuple[int, ...], ...], n: int) -> tuple[int, ...]:
+def monomial_content(rows: Monomial, n: int) -> tuple[int, ...]:
     """counts[v-1] = number of entries v among the rows, for v in 1..n."""
     counts = [0] * n
     for row in rows:
         for v in row:
             counts[v - 1] += 1
     return tuple(counts)
-
-
-def is_standard(t: Tableau, bound: IndexTuple | None = None) -> bool:
-    """Row chain tau_1 <= tau_2 <= ... <= tau_m (<= bound when given)."""
-    if bound is None:
-        return rows_are_standard(t.row_values())
-    if bound.r != t.r or bound.n != t.n:
-        raise ValueError(f"bound {bound} does not match tableau shape ({t.r},{t.n})")
-    return rows_are_standard(t.row_values(), bound.values)
-
-
-def content(t: Tableau) -> tuple[int, ...]:
-    """counts[v-1] = number of boxes containing v, for v in 1..n."""
-    return monomial_content(t.row_values(), t.n)
-
-
-def is_torus_invariant(t: Tableau) -> bool:
-    """All of 1..n occur equally often, i.e. the content is constant."""
-    c = content(t)
-    return c[0] >= 1 and all(x == c[0] for x in c)
 
 
 def _completion_table(shape_rows: int, r: int, n: int, bound, content) -> dict:
@@ -195,21 +126,21 @@ def enumerate_standard(
     n: int,
     bound: IndexTuple | None = None,
     content: tuple[int, ...] | None = None,
-) -> list[Tableau]:
-    """All standard tableaux with shape_rows rows of length r over 1..n.
+) -> list[Monomial]:
+    """All standard monomials of shape_rows rows of length r over 1..n.
 
     Optionally bounded above by `bound` and/or constrained to an exact
-    content vector.  Output is in lexicographic order on the flattened
-    row sequence, which downstream code uses as the canonical basis
-    order.  The rows, read as columns, form a semistandard tableau with
-    r rows and shape_rows columns; the walk adds the values 1..n to it
-    one horizontal strip at a time (of size content[v-1] when a content
-    is given), and enters only the states whose completion count is
+    content vector.  Each monomial is a tuple of row tuples, and the
+    list is sorted, which is the canonical basis order downstream.  The
+    rows, read as columns, form a semistandard tableau with r rows and
+    shape_rows columns; the walk adds the values 1..n to it one
+    horizontal strip at a time (of size content[v-1] when a content is
+    given), and enters only the states whose completion count is
     nonzero, so its cost follows the size of its output.
     """
     table = _completion_table(shape_rows, r, n, bound, content)
     rows = [[0] * r for _ in range(shape_rows)]
-    results: list[tuple[tuple[int, ...], ...]] = []
+    results: list[Monomial] = []
     # the cells (row i, position j) that the strip of v + 1 into each next state fills
     strips = {
         (v, shape): [
@@ -230,6 +161,4 @@ def enumerate_standard(
 
     walk(0, (0,) * r)
     results.sort()
-    # one IndexTuple per distinct row, shared by the tableaux that hold it
-    made = {vals: IndexTuple(vals, n) for vals in set().union(*results)}
-    return [Tableau(tuple(map(made.__getitem__, rows))) for rows in results]
+    return results

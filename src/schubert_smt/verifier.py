@@ -10,11 +10,7 @@ everything else is compared on the nose.
 from math import comb
 
 from ._record import Record
-from .invariant_ring import (
-    hilbert_series,
-    normality_probe,
-    tableau_monomial,
-)
+from .invariant_ring import hilbert_series, normality_probe
 from .lattice import IndexTuple, distinguished_w, top_element
 from .plucker import (
     MinorTable,
@@ -26,7 +22,7 @@ from .plucker import (
     straighten,
     value_at,
 )
-from .tableaux import Tableau, is_standard, is_torus_invariant, make_tableau
+from .tableaux import Monomial, monomial_content, rows_are_standard
 
 
 class VerificationReport(Record):
@@ -53,11 +49,12 @@ class VerificationReport(Record):
 
 class QuotientGenerators(Record):
     """The five degree-one invariants spanning R_1 on the big Schubert
-    variety, and the two degree-two invariants that are not products."""
+    variety, and the two degree-two invariants that are not products,
+    each as its monomial."""
 
     __slots__ = ("deg1", "deg2")
-    deg1: tuple[Tableau, ...]
-    deg2: tuple[Tableau, ...]
+    deg1: tuple[Monomial, ...]
+    deg2: tuple[Monomial, ...]
 
 
 def _odds_upto(m: int) -> tuple[int, ...]:
@@ -68,8 +65,9 @@ def _evens_upto(m: int) -> tuple[int, ...]:
     return tuple(range(2, m + 1, 2))
 
 
-def _tab(n2: int, rows: list[tuple[int, ...]]) -> Tableau:
-    return make_tableau(IndexTuple(row, n2) for row in rows)
+def _polynomial(rows: Monomial) -> PluckerPolynomial:
+    """A monomial of G(r, 2r) as a polynomial."""
+    return PluckerPolynomial.monomial(rows, 2 * len(rows[0]))
 
 
 def build_generators(n: int) -> QuotientGenerators:
@@ -86,49 +84,42 @@ def build_generators(n: int) -> QuotientGenerators:
         ((2 * n - 4, 2 * n - 2), (2 * n - 3, 2 * n - 1, 2 * n)),
         ((2 * n - 4, 2 * n - 3), (2 * n - 2, 2 * n - 1, 2 * n)),
     ]
-    deg1 = tuple(
-        _tab(n2, [odd + top_tail, even + bot_tail]) for top_tail, bot_tail in x_tails
-    )
+    deg1 = tuple((odd + top_tail, even + bot_tail) for top_tail, bot_tail in x_tails)
     deg2 = (
-        _tab(
-            n2,
-            [
-                odd + (2 * n - 4, 2 * n - 3),
-                odd + (2 * n - 2, 2 * n - 1),
-                even + (2 * n - 4, 2 * n - 2, 2 * n),
-                even + (2 * n - 3, 2 * n - 1, 2 * n),
-            ],
+        (
+            odd + (2 * n - 4, 2 * n - 3),
+            odd + (2 * n - 2, 2 * n - 1),
+            even + (2 * n - 4, 2 * n - 2, 2 * n),
+            even + (2 * n - 3, 2 * n - 1, 2 * n),
         ),
-        _tab(
-            n2,
-            [
-                odd + (2 * n - 4, 2 * n - 2),
-                odd + (2 * n - 3, 2 * n - 1),
-                even + (2 * n - 4, 2 * n - 3, 2 * n),
-                even + (2 * n - 2, 2 * n - 1, 2 * n),
-            ],
+        (
+            odd + (2 * n - 4, 2 * n - 2),
+            odd + (2 * n - 3, 2 * n - 1),
+            even + (2 * n - 4, 2 * n - 3, 2 * n),
+            even + (2 * n - 2, 2 * n - 1, 2 * n),
         ),
     )
     w5 = distinguished_w(5, n)
-    for t in deg1:
-        if not (is_standard(t, w5) and is_torus_invariant(t)):
-            raise RuntimeError(f"degree-one generator {t} failed its checks; bug")
-    for t in deg2:
-        if not (is_standard(t, w5) and is_torus_invariant(t) and len(t.rows) == 4):
-            raise RuntimeError(f"degree-two generator {t} failed its checks; bug")
+    # rows of length n, standard below w5 (so in canonical order), every
+    # value k times in degree k
+    for k, gens in ((1, deg1), (2, deg2)):
+        for rows in gens:
+            if not (
+                len(rows) == 2 * k
+                and all(len(row) == n for row in rows)
+                and rows_are_standard(rows, w5.values)
+                and monomial_content(rows, n2) == (k,) * n2
+            ):
+                raise RuntimeError(f"degree-{k} generator {rows} failed its checks; bug")
     return QuotientGenerators(deg1=deg1, deg2=deg2)
 
 
-def nonstandard_degree_one_product(n: int) -> Tableau:
+def nonstandard_degree_one_product(n: int) -> Monomial:
     """The non-standard degree-one monomial whose straightening is the
     alternating sum of the five generators (identity (*))."""
-    n2 = 2 * n
-    return _tab(
-        n2,
-        [
-            _odds_upto(2 * n - 5) + (2 * n - 2, 2 * n - 1),
-            _evens_upto(2 * n - 6) + (2 * n - 4, 2 * n - 3, 2 * n),
-        ],
+    return (
+        _odds_upto(2 * n - 5) + (2 * n - 2, 2 * n - 1),
+        _evens_upto(2 * n - 6) + (2 * n - 4, 2 * n - 3, 2 * n),
     )
 
 
@@ -214,10 +205,10 @@ def exchange_instance(label: str, n: int) -> tuple[PluckerPolynomial, PluckerPol
 
 
 def generator_combination(gens: QuotientGenerators, coeffs) -> PluckerPolynomial:
-    n2 = gens.deg1[0].n
-    out = PluckerPolynomial.zero(gens.deg1[0].r, n2)
-    for c, t in zip(coeffs, gens.deg1):
-        out = out + tableau_monomial(t) * c
+    r = len(gens.deg1[0][0])
+    out = PluckerPolynomial.zero(r, 2 * r)
+    for c, rows in zip(coeffs, gens.deg1):
+        out = out + _polynomial(rows) * c
     return out
 
 
@@ -232,8 +223,8 @@ def verify_product_relation(n: int, seed: int = 0) -> VerificationReport:
         raise ValueError("need n >= 3")
     gens = build_generators(n)
     w5 = distinguished_w(5, n)
-    x = [tableau_monomial(t) for t in gens.deg1]
-    y = [tableau_monomial(t) for t in gens.deg2]
+    x = [_polynomial(rows) for rows in gens.deg1]
+    y = [_polynomial(rows) for rows in gens.deg2]
     lhs = x[1] * x[2]
     rhs = x[0] * x[3] - y[1] - y[0] + x[4] * (x[0] - x[1] - x[2] + x[3] - x[4])
     difference = lhs - rhs
@@ -284,7 +275,7 @@ def verify_exchange_identities(n: int, seed: int = 0) -> VerificationReport:
             "restricted_terms": len(restricted.terms),
             "residual": "" if matched else str(restricted - display),
         }
-    z = tableau_monomial(nonstandard_degree_one_product(n))
+    z = _polynomial(nonstandard_degree_one_product(n))
     expected = generator_combination(gens, (1, -1, -1, 1, -1))
     z_straightened = straighten(z, w5, seed=seed)
     star_ok = z_straightened == expected
@@ -325,8 +316,8 @@ def verify_non_normality(n: int, seed: int = 0) -> VerificationReport:
         )
     gens = build_generators(n)
     report = normality_probe(distinguished_w(5, n), 2, seed=seed)
-    witness_rows = {t.row_values() for t in report.cokernel_witnesses}
-    expected_rows = {t.row_values() for t in gens.deg2}
+    witness_rows = set(report.cokernel_witnesses)
+    expected_rows = set(gens.deg2)
     ok = (not report.spanned) and expected_rows <= witness_rows
     return VerificationReport(
         name="non-normality",
@@ -354,7 +345,7 @@ def _check_quotient_dimensions(
     """Series and vanishing checks for the four small quotients; split out
     so fault-injection tests can pass a perturbed slot list."""
     gens = build_generators(n)
-    y2 = tableau_monomial(gens.deg2[1])
+    y2 = _polynomial(gens.deg2[1])
     details: dict = {"slots": {}}
     ok = True
     for slot, w in enumerate(ws, start=1):

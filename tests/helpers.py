@@ -14,7 +14,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from schubert_smt import make_index_tuple, make_tableau, plucker
+from schubert_smt import plucker
 from schubert_smt.invariant_ring import (
     GenerationReport,
     NormalityReport,
@@ -124,13 +124,6 @@ def apply_simple_reflection(values, i):
     """Left action of the value swap i <-> i+1 on a one-line value set."""
     swapped = [i + 1 if v == i else i if v == i + 1 else v for v in values]
     return tuple(sorted(swapped))
-
-def rows_of(t):
-    return t.row_values()
-
-
-def tableaux_rows(tableaux):
-    return [t.row_values() for t in tableaux]
 
 
 def fraction_rank(rows):
@@ -258,10 +251,6 @@ def grew(cell):
     return len(cell.points) > len(cell.basis) + plucker.EXTRA_SAMPLES
 
 
-def tab(rows, n):
-    return make_tableau(make_index_tuple(row, n) for row in rows)
-
-
 def reference_normality_probe(w, d, seed=0):
     """`normality_probe` with every product R_a . R_b straightened."""
     target = invariant_basis(w, d)
@@ -270,18 +259,18 @@ def reference_normality_probe(w, d, seed=0):
         b = d - a
         basis_a = invariant_basis(w, a)
         basis_b = basis_a if b == a else invariant_basis(w, b)
-        for i, ta in enumerate(basis_a):
+        for i, ma in enumerate(basis_a.monomials):
             start = i if a == b else 0
-            for tb in list(basis_b)[start:]:
-                span.add(multiply_to_coordinates(ta, tb, target, seed=seed))
+            for mb in basis_b.monomials[start:]:
+                span.add(multiply_to_coordinates(ma, mb, target, seed=seed))
     spanned = span.rank == len(target)
     witnesses = []
     if not spanned:
-        for pos, t in enumerate(target):
+        for pos, rows in enumerate(target.monomials):
             unit = [0] * len(target)
             unit[pos] = 1
             if not span.contains(unit):
-                witnesses.append(t)
+                witnesses.append(rows)
     return NormalityReport(
         w=w,
         degree=d,
@@ -302,9 +291,9 @@ def reference_generation_probe(w, k_max, seed=0):
     def table(a, b):
         if (a, b) not in tables:
             tables[(a, b)] = {
-                (i, j): multiply_to_coordinates(ta, tb, bases[a + b], seed=seed)
-                for i, ta in enumerate(bases[a])
-                for j, tb in enumerate(bases[b])
+                (i, j): multiply_to_coordinates(ma, mb, bases[a + b], seed=seed)
+                for i, ma in enumerate(bases[a].monomials)
+                for j, mb in enumerate(bases[b].monomials)
             }
         return tables[(a, b)]
 

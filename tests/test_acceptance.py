@@ -22,7 +22,6 @@ from schubert_smt import (
     plucker_relation,
     restrict,
     straighten,
-    tableau_monomial,
     top_element,
     verify_exchange_identities,
     verify_product_relation,
@@ -63,8 +62,7 @@ def test_criterion_01_degree_one_basis():
             start = time.perf_counter()
             basis = invariant_basis(distinguished_w(5, n), 1)
             assert len(basis) == 5
-            expected = {t.row_values() for t in build_generators(n).deg1}
-            assert {t.row_values() for t in basis} == expected
+            assert set(basis) == set(build_generators(n).deg1)
             assert time.perf_counter() - start < 1.0
 
 
@@ -86,8 +84,8 @@ def test_criterion_03_non_normality():
             start = time.perf_counter()
             report = normality_probe(distinguished_w(5, n), 2)
             assert not report.spanned
-            witness_rows = {t.row_values() for t in report.cokernel_witnesses}
-            expected = {t.row_values() for t in build_generators(n).deg2}
+            witness_rows = set(report.cokernel_witnesses)
+            expected = set(build_generators(n).deg2)
             assert expected <= witness_rows
             # regression-pinned after first computation: the product span
             # misses exactly one dimension, with both degree-two
@@ -106,7 +104,7 @@ def test_criterion_04_quotient_hilbert_data():
         expected = {1: [1, 1, 1], 2: [2, 3, 4], 3: [2, 3, 4], 4: [4, 10, 20]}
         for n in (3, 4):
             gens = build_generators(n)
-            y2 = tableau_monomial(gens.deg2[1])
+            y2 = PluckerPolynomial.monomial(gens.deg2[1], 2 * n)
             for i in (1, 2, 3, 4):
                 w = distinguished_w(i, n)
                 assert hilbert_series(w, 3) == expected[i]
@@ -190,8 +188,8 @@ def test_criterion_10_falsifiability():
         # the first degree-two witness
         gens = build_generators(3)
         w5 = distinguished_w(5, 3)
-        x = [tableau_monomial(t) for t in gens.deg1]
-        y = [tableau_monomial(t) for t in gens.deg2]
+        x = [PluckerPolynomial.monomial(rows, 6) for rows in gens.deg1]
+        y = [PluckerPolynomial.monomial(rows, 6) for rows in gens.deg2]
         lhs = x[1] * x[2]
         rhs_flipped = (
             x[0] * x[3] - y[1] + y[0] + x[4] * (x[0] - x[1] - x[2] + x[3] - x[4])

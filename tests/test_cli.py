@@ -265,6 +265,17 @@ class TestBasisCommand:
         assert code == EXIT_OK
         assert json.loads(out)["count"] == 20
 
+    @pytest.mark.parametrize("which", ["--invariant", "--all"])
+    def test_text_lists_the_json_rows(self, capsys, which):
+        argv = ["basis", "--w", "3,4", "--n2n", "4", "--k", "1", which]
+        _, text, _ = run_cli(capsys, argv)
+        _, out, _ = run_cli(capsys, argv + ["--json"])
+        rows = json.loads(out)["tableaux"]
+        assert text.splitlines() == [f"count: {len(rows)}"] + [
+            "[" + " | ".join(",".join(map(str, row)) for row in monomial) + "]"
+            for monomial in rows
+        ]
+
     def test_bad_tuple_exits_2(self, capsys):
         code, _, err = run_cli(capsys, ["basis", "--w", "3,1", "--k", "1"])
         assert code == EXIT_USAGE and "error" in err

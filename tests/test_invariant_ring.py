@@ -8,20 +8,18 @@ import pytest
 from schubert_smt import (
     BasisMismatchError,
     IndexTuple,
-    Tableau,
-    content,
+    PluckerPolynomial,
     distinguished_w,
     enumerate_standard,
     generation_degree_probe,
     hilbert_series,
     invariant_basis,
-    is_standard,
-    is_torus_invariant,
     make_index_tuple,
+    monomial_content,
     multiply_to_coordinates,
     normality_probe,
+    rows_are_standard,
     semistable_nonempty,
-    tableau_monomial,
     top_element,
 )
 from schubert_smt import build_generators
@@ -34,11 +32,23 @@ from helpers import (
     recording_cells,
     reference_generation_probe,
     reference_normality_probe,
-    tableaux_rows,
 )
 
 HEAVY = bool(os.environ.get("SCHUBERT_SMT_HEAVY"))
 I36 = [make_index_tuple(v, 6) for v in itertools.combinations(range(1, 7), 3)]
+
+
+def count_index_tuples(monkeypatch):
+    """A list that receives the values of every IndexTuple built from now on."""
+    built = []
+    original = IndexTuple.__init__
+
+    def counting(self, values, n):
+        built.append(values)
+        original(self, values, n)
+
+    monkeypatch.setattr(IndexTuple, "__init__", counting)
+    return built
 
 
 @pytest.fixture
@@ -59,28 +69,26 @@ class TestInvariantBasis:
     def test_degree_one_on_the_big_variety(self):
         basis = invariant_basis(distinguished_w(5, 3), 1)
         assert len(basis) == 5
-        built = {t.row_values() for t in build_generators(3).deg1}
-        assert {t.row_values() for t in basis} == built
+        assert set(basis) == set(build_generators(3).deg1)
 
     def test_minimal_variety_is_a_single_power(self):
         basis = invariant_basis(distinguished_w(1, 3), 2)
         assert basis.monomials == (((1, 3, 5), (1, 3, 5), (2, 4, 6), (2, 4, 6)),)
-        assert tableaux_rows(basis) == list(basis.monomials)
+        assert list(basis) == list(basis.monomials)
 
     def test_first_degree_on_the_three_space_slot(self):
         w4 = distinguished_w(4, 4)
         basis = invariant_basis(w4, 1)
         assert len(basis) == 4
         oracle = brute_force_standard(2, 4, 8, bound=w4.values, content=(1,) * 8)
-        assert list(basis.monomials) == tableaux_rows(basis) == oracle
+        assert list(basis.monomials) == list(basis) == oracle
 
     def test_every_element_is_standard_invariant_of_right_weight(self):
         w = distinguished_w(5, 3)
         for k in (1, 2):
-            for t in invariant_basis(w, k):
-                assert is_standard(t, w)
-                assert is_torus_invariant(t)
-                assert content(t) == (k,) * 6
+            for rows in invariant_basis(w, k):
+                assert rows_are_standard(rows, w.values)
+                assert monomial_content(rows, 6) == (k,) * 6
 
     def test_rejects_bad_degree_and_shape(self):
         with pytest.raises(ValueError):
@@ -97,8 +105,8 @@ class TestInvariantBasis:
                 basis = invariant_basis(w, k)
                 listed = enumerate_standard(2 * k, r, n, bound=w, content=(k,) * n)
                 assert len(basis) == len(listed)
-                for i, t in enumerate(listed):
-                    assert basis.position(t.row_values()) == i
+                for i, rows in enumerate(listed):
+                    assert basis.position(rows) == i
 
     def test_position_rejects_a_monomial_outside_the_basis(self):
         w = distinguished_w(5, 3)
@@ -128,9 +136,7 @@ class TestMultiplyToCoordinates:
         target = invariant_basis(distinguished_w(5, 3), 2)
         coords = multiply_to_coordinates(gens.deg1[0], gens.deg1[3], target)
         nonzero = {i: c for i, c in enumerate(coords) if c}
-        expected_rows = tuple(
-            sorted(gens.deg1[0].row_values() + gens.deg1[3].row_values())
-        )
+        expected_rows = tuple(sorted(gens.deg1[0] + gens.deg1[3]))
         assert nonzero == {target.position(expected_rows): Fraction(1)}
 
     def test_power_on_the_minimal_variety(self):
@@ -157,15 +163,47 @@ class TestMultiplyToCoordinates:
     def test_rejects_wrong_degree_sum(self):
         gens = build_generators(3)
         target = invariant_basis(distinguished_w(5, 3), 3)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="degrees do not sum"):
             multiply_to_coordinates(gens.deg1[0], gens.deg1[1], target)
 
     def test_rejects_nonstandard_input(self):
         gens = build_generators(3)
         target = invariant_basis(distinguished_w(4, 3), 2)
         # the fifth generator is not bounded by the fourth representative
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="not standard on X"):
             multiply_to_coordinates(gens.deg1[4], gens.deg1[0], target)
+
+    @pytest.mark.parametrize(
+        "factor,reason",
+        [
+            # the values are each once, and the short row passes the
+            # chain and bound checks, which compare rows with zip
+            (((1, 2), (3, 4, 5, 6)), "has length"),
+            (((1, 3, 5), (2, 4, 7)), "out of range"),
+            (((0, 3, 5), (2, 4, 6)), "out of range"),
+            (((1, 3, 5), (2, 6, 4)), "not strictly increasing"),
+            (((1, 4, 5), (2, 3, 6)), "not standard"),
+            (((1, 2, 3), (1, 2, 3)), "not torus invariant"),
+            ((), "not torus invariant"),
+        ],
+        ids=["short-row", "above-n", "zero", "unsorted-row", "column-violation",
+             "values-missing", "no-rows"],
+    )
+    def test_rejects_each_malformed_factor(self, factor, reason):
+        target = invariant_basis(distinguished_w(5, 3), 2)
+        good = build_generators(3).deg1[0]
+        for a, b in ((factor, good), (good, factor)):
+            with pytest.raises(ValueError, match=reason):
+                multiply_to_coordinates(a, b, target)
+
+    def test_row_order_of_a_factor_does_not_matter(self):
+        # a monomial is a multiset of rows; a factor is read in its
+        # canonical (sorted) order
+        target = invariant_basis(distinguished_w(5, 3), 2)
+        a, b = build_generators(3).deg1[:2]
+        assert multiply_to_coordinates(a[::-1], [list(row) for row in b], target) == (
+            multiply_to_coordinates(a, b, target)
+        )
 
 
 class TestNormalityProbe:
@@ -176,8 +214,7 @@ class TestNormalityProbe:
         assert report.dim_graded_piece == 16
         assert report.dim_lower_products == 15
         assert report.cokernel_dim == 1
-        witness_rows = {t.row_values() for t in report.cokernel_witnesses}
-        assert witness_rows == {t.row_values() for t in gens.deg2}
+        assert set(report.cokernel_witnesses) == set(gens.deg2)
 
     def test_probe_matches_function_level_rank_oracle(self):
         # rank of the products as functions on the cone, computed purely
@@ -185,7 +222,7 @@ class TestNormalityProbe:
         w5 = distinguished_w(5, 3)
         gens = build_generators(3)
         target = invariant_basis(w5, 2)
-        xs = [tableau_monomial(t) for t in gens.deg1]
+        xs = [PluckerPolynomial.monomial(rows, 6) for rows in gens.deg1]
         products = [
             xs[i] * xs[j] for i, j in itertools.combinations_with_replacement(range(5), 2)
         ]
@@ -193,11 +230,11 @@ class TestNormalityProbe:
         rank_products = function_rank(products, w5, n_points, "oracle:prod")
         assert rank_products == 15
         # the degree-two basis itself is linearly independent as functions
-        basis_polys = [tableau_monomial(t) for t in target]
+        basis_polys = [PluckerPolynomial.monomial(rows, 6) for rows in target]
         assert function_rank(basis_polys, w5, n_points, "oracle:basis") == 16
         # and each degree-two witness raises the rank, so is not a product
-        for t in gens.deg2:
-            fam = products + [tableau_monomial(t)]
+        for rows in gens.deg2:
+            fam = products + [PluckerPolynomial.monomial(rows, 6)]
             assert function_rank(fam, w5, n_points, "oracle:wit") == 16
 
     def test_spanned_slots(self):
@@ -223,9 +260,7 @@ class TestNormalityProbe:
         w = make_index_tuple((3, 6, 7, 8), 8)
         report = normality_probe(w, 2)
         assert not report.spanned
-        witness_rows = {t.row_values() for t in report.cokernel_witnesses}
-        expected = {t.row_values() for t in build_generators(4).deg2}
-        assert expected <= witness_rows
+        assert set(build_generators(4).deg2) <= set(report.cokernel_witnesses)
 
     @pytest.mark.skipif(
         not HEAVY, reason="heavier full-Grassmannian probe; set SCHUBERT_SMT_HEAVY=1"
@@ -235,9 +270,7 @@ class TestNormalityProbe:
         assert not report.spanned
         assert report.dim_graded_piece == 126
         assert report.dim_lower_products == 105
-        witness_rows = {t.row_values() for t in report.cokernel_witnesses}
-        expected = {t.row_values() for t in build_generators(4).deg2}
-        assert expected <= witness_rows
+        assert set(build_generators(4).deg2) <= set(report.cokernel_witnesses)
 
     def test_rejects_degree_one(self):
         with pytest.raises(ValueError):
@@ -265,20 +298,21 @@ class TestSpanProbeMechanism:
     the others only while the span is short of R_d."""
 
     def test_warm_generation_probe_builds_no_tableau(self, monkeypatch):
-        # the engine works on the cached monomials; a tableau is built
-        # only for output and for a product it straightens
+        # the engine works on the cached monomials, which are plain row
+        # tuples; no index tuple is built for them
         w = distinguished_w(5, 3)
         expected = generation_degree_probe(w, 3)  # warms the caches
-        built = []
-        for cls in (Tableau, IndexTuple):
-            original = cls.__init__
-
-            def counting(self, *args, _original=original, **kwargs):
-                built.append(type(self).__name__)
-                _original(self, *args, **kwargs)
-
-            monkeypatch.setattr(cls, "__init__", counting)
+        built = count_index_tuples(monkeypatch)
         assert generation_degree_probe(w, 3) == expected
+        assert built == []
+
+    def test_cold_basis_builds_no_index_tuple(self, monkeypatch):
+        w = distinguished_w(5, 4)
+        plucker._standard_basis.cache_clear()
+        built = count_index_tuples(monkeypatch)
+        for k in (1, 2):
+            assert len(invariant_basis(w, k)) == (5, 16)[k - 1]
+        assert plucker._standard_basis.cache_info().misses == 2
         assert built == []
 
     def test_degree_four_generation_builds_no_cell(self, straightened_products):
@@ -294,7 +328,7 @@ class TestSpanProbeMechanism:
         assert (report.dim_lower_products, report.dim_graded_piece) == (15, 16)
         assert len(straightened_products) == 1
         (a, b), = straightened_products
-        rows = tuple(sorted(a.row_values() + b.row_values()))
+        rows = tuple(sorted(a + b))
         assert not plucker.rows_are_standard(rows, distinguished_w(5, n).values)
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
@@ -375,13 +409,13 @@ class TestAlgebraicIndependence:
 
         w4 = distinguished_w(4, 3)
         target = invariant_basis(w4, k)
-        gens = [t for t in build_generators(3).deg1 if is_standard(t, w4)]
+        gens = [rows for rows in build_generators(3).deg1 if rows_are_standard(rows, w4.values)]
         assert len(gens) == 4
         span = IntRowSpan(len(target))
         for combo in itertools.combinations_with_replacement(range(4), k):
-            poly = tableau_monomial(gens[combo[0]])
+            poly = PluckerPolynomial.monomial(gens[combo[0]], 6)
             for idx in combo[1:]:
-                poly = poly * tableau_monomial(gens[idx])
+                poly = poly * PluckerPolynomial.monomial(gens[idx], 6)
             expanded = straighten(poly, w4)
             vec = [0] * len(target)
             for rows, c in expanded.terms.items():
@@ -395,7 +429,7 @@ class TestSemistableNonempty:
     def test_minimal_representative_has_a_degree_one_witness(self):
         report = semistable_nonempty(distinguished_w(1, 3))
         assert report.found and report.degree == 1
-        assert report.witness.row_values() == ((1, 3, 5), (2, 4, 6))
+        assert report.witness == ((1, 3, 5), (2, 4, 6))
 
     def test_content_obstructed_variety_is_empty_at_cap(self):
         report = semistable_nonempty(make_index_tuple((1, 2, 3), 6))
@@ -406,9 +440,9 @@ class TestSemistableNonempty:
         w = distinguished_w(5, 4)
         report = semistable_nonempty(w)
         assert report.found and report.degree == 1
-        assert is_standard(report.witness, w) and is_torus_invariant(report.witness)
-        generator_rows = {t.row_values() for t in build_generators(4).deg1}
-        assert report.witness.row_values() in generator_rows
+        assert rows_are_standard(report.witness, w.values)
+        assert monomial_content(report.witness, 8) == (1,) * 8
+        assert report.witness in build_generators(4).deg1
 
     def test_all_distinguished_representatives_are_semistable(self):
         for n in (3, 4):

@@ -5,23 +5,23 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from schubert_smt import (
-    content,
     count_standard,
     distinguished_w,
     enumerate_standard,
-    is_standard,
-    is_torus_invariant,
+    invariant_basis,
     make_index_tuple,
-    make_tableau,
+    monomial_content,
+    multiply_to_coordinates,
+    rows_are_standard,
     top_element,
 )
 
-from helpers import brute_force_standard, reference_enumerate_standard, tab, tableaux_rows
+from helpers import brute_force_standard, reference_enumerate_standard
 
 
-X1_N3 = [(1, 3, 5), (2, 4, 6)]
-Y1_N3 = [(1, 2, 3), (1, 4, 5), (2, 4, 6), (3, 5, 6)]
-Y2_N3 = [(1, 2, 4), (1, 3, 5), (2, 3, 6), (4, 5, 6)]
+X1_N3 = ((1, 3, 5), (2, 4, 6))
+Y1_N3 = ((1, 2, 3), (1, 4, 5), (2, 4, 6), (3, 5, 6))
+Y2_N3 = ((1, 2, 4), (1, 3, 5), (2, 3, 6), (4, 5, 6))
 
 
 @st.composite
@@ -29,7 +29,7 @@ def enumeration_inputs(draw):
     """(shape_rows, r, n, bound, content) with shape_rows <= 4 and n <= 6.
 
     The content is absent, the content of a random multiset of rows
-    (so a tableau with it often exists), or a uniform draw of box values
+    (so a monomial with it often exists), or a uniform draw of box values
     (so it is mostly infeasible).
     """
     n = draw(st.integers(1, 6))
@@ -49,99 +49,87 @@ def enumeration_inputs(draw):
     return shape_rows, r, n, bound, cont
 
 
-class TestMakeTableau:
-    def test_builds_row_lists(self):
-        t = tab(X1_N3, 6)
-        assert t.shape == (2, 3)
-        assert t.row_values() == ((1, 3, 5), (2, 4, 6))
-
-    def test_four_row_tableau(self):
-        t = tab(Y1_N3, 6)
-        assert t.shape == (4, 3)
-
-    def test_same_n_accepts_repeated_entries_across_rows(self):
-        t = make_tableau([make_index_tuple((1, 2), 4), make_index_tuple((1, 3), 4)])
-        assert t.shape == (2, 2)
-
-    def test_rejects_heterogeneous_rows(self):
-        with pytest.raises(ValueError):
-            make_tableau([make_index_tuple((1, 2), 4), make_index_tuple((1, 3), 6)])
-        with pytest.raises(ValueError):
-            make_tableau([make_index_tuple((1, 2), 4), make_index_tuple((1, 2, 3), 4)])
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            make_tableau([])
-
-    def test_does_not_require_standardness(self):
-        t = tab([(1, 4), (2, 3)], 4)
-        assert not is_standard(t)
-
-
 class TestIsStandard:
     def test_bounded_chain(self):
-        assert is_standard(tab(X1_N3, 6), distinguished_w(5, 3))
+        assert rows_are_standard(X1_N3, distinguished_w(5, 3).values)
 
     def test_column_violation(self):
-        assert not is_standard(tab([(1, 4), (2, 3)], 4))
+        assert not rows_are_standard(((1, 4), (2, 3)))
 
     def test_degree_two_witness_is_standard(self):
-        assert is_standard(tab(Y2_N3, 6), make_index_tuple((4, 5, 6), 6))
+        assert rows_are_standard(Y2_N3, (4, 5, 6))
 
     def test_bound_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            is_standard(tab(X1_N3, 6), make_index_tuple((1, 2), 4))
+        # rows_are_standard compares rows with zip, so the caller that
+        # takes outside rows, multiply_to_coordinates, checks their length
+        target = invariant_basis(top_element(2, 4), 2)
+        with pytest.raises(ValueError, match="has length"):
+            multiply_to_coordinates(X1_N3, X1_N3, target)
+
+    def test_bound_violation(self):
+        assert rows_are_standard(X1_N3)
+        assert not rows_are_standard(X1_N3, (2, 4, 5))
 
     def test_bounded_implies_unbounded(self):
         w4 = distinguished_w(4, 3)
-        for t in enumerate_standard(2, 3, 6, bound=w4):
-            assert is_standard(t)
+        for rows in enumerate_standard(2, 3, 6, bound=w4):
+            assert rows_are_standard(rows)
 
 
 class TestContentAndWeight:
     def test_degree_one_content(self):
-        assert content(tab(X1_N3, 6)) == (1, 1, 1, 1, 1, 1)
+        assert monomial_content(X1_N3, 6) == (1, 1, 1, 1, 1, 1)
 
     def test_degree_two_content(self):
-        assert content(tab(Y1_N3, 6)) == (2, 2, 2, 2, 2, 2)
+        assert monomial_content(Y1_N3, 6) == (2, 2, 2, 2, 2, 2)
 
     def test_partial_content(self):
-        assert content(tab([(1, 2)], 4)) == (1, 1, 0, 0)
+        assert monomial_content(((1, 2),), 4) == (1, 1, 0, 0)
 
     def test_weight_equals_content(self):
-        assert content(tab(X1_N3, 6)) == (1, 1, 1, 1, 1, 1)
-        assert content(tab([(1, 3)], 4)) == (1, 0, 1, 0)
+        assert monomial_content(X1_N3, 6) == (1, 1, 1, 1, 1, 1)
+        assert monomial_content(((1, 3),), 4) == (1, 0, 1, 0)
 
     def test_weight_additive_under_concatenation(self):
         rng = random.Random(5)
         rows_pool = list(itertools.combinations(range(1, 7), 3))
         for _ in range(50):
-            a = tab(sorted(rng.sample(rows_pool, 2)), 6)
-            b = tab(sorted(rng.sample(rows_pool, 2)), 6)
-            both = make_tableau(a.rows + b.rows)
-            assert content(both) == tuple(
-                x + y for x, y in zip(content(a), content(b))
+            a = tuple(sorted(rng.sample(rows_pool, 2)))
+            b = tuple(sorted(rng.sample(rows_pool, 2)))
+            assert monomial_content(a + b, 6) == tuple(
+                x + y for x, y in zip(monomial_content(a, 6), monomial_content(b, 6))
             )
 
     def test_doubled_tableau_weight(self):
-        doubled = make_tableau(tab(X1_N3, 6).rows + tab(X1_N3, 6).rows)
-        assert content(doubled) == (2, 2, 2, 2, 2, 2)
+        assert monomial_content(X1_N3 + X1_N3, 6) == (2, 2, 2, 2, 2, 2)
 
 
 class TestTorusInvariance:
+    """A factor of `multiply_to_coordinates` must have constant content."""
+
     def test_degree_one_invariant(self):
-        assert is_torus_invariant(tab([(1, 2, 5), (3, 4, 6)], 6))
+        rows = ((1, 2, 5), (3, 4, 6))
+        target = invariant_basis(distinguished_w(5, 3), 2)
+        assert multiply_to_coordinates(rows, rows, target) == [
+            int(m == tuple(sorted(rows + rows))) for m in target
+        ]
 
     def test_missing_value(self):
-        assert not is_torus_invariant(tab([(1, 2), (1, 3)], 4))
+        target = invariant_basis(top_element(2, 4), 2)
+        with pytest.raises(ValueError, match="not torus invariant"):
+            multiply_to_coordinates(((1, 2), (1, 3)), ((1, 2), (3, 4)), target)
 
     def test_degree_two_invariant(self):
-        assert is_torus_invariant(tab(Y2_N3, 6))
+        target = invariant_basis(distinguished_w(5, 3), 3)
+        coords = multiply_to_coordinates(Y2_N3, X1_N3, target)
+        assert coords == [int(m == tuple(sorted(Y2_N3 + X1_N3))) for m in target]
 
 
 class TestEnumerateStandard:
     def test_single_rows_are_subsets(self):
-        assert len(enumerate_standard(1, 2, 4)) == 6
+        assert enumerate_standard(1, 2, 4) == [
+            (row,) for row in itertools.combinations(range(1, 5), 2)
+        ]
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_degree_one_invariant_cell_has_five_elements(self, n):
@@ -150,26 +138,32 @@ class TestEnumerateStandard:
         )
         assert len(got) == 5
 
+    def test_output_is_sorted_tuples_of_increasing_rows(self):
+        got = enumerate_standard(3, 2, 5, bound=make_index_tuple((3, 5), 5))
+        assert got == sorted(got)
+        for rows in got:
+            assert type(rows) is tuple and rows == tuple(sorted(rows))
+            for row in rows:
+                assert type(row) is tuple and len(row) == 2 and 1 <= row[0] < row[1] <= 5
+
     def test_two_by_two_unbounded(self):
         assert len(enumerate_standard(2, 2, 4)) == 20
 
     def test_canonical_order_is_flattened_lex(self):
         got = enumerate_standard(2, 2, 4)
-        flat = [sum(t.row_values(), ()) for t in got]
+        flat = [sum(rows, ()) for rows in got]
         assert flat == sorted(flat)
 
     def test_content_constraint_gives_sublist(self):
-        full = tableaux_rows(enumerate_standard(2, 2, 4))
-        constrained = tableaux_rows(
-            enumerate_standard(2, 2, 4, content=(1, 1, 1, 1))
-        )
+        full = enumerate_standard(2, 2, 4)
+        constrained = enumerate_standard(2, 2, 4, content=(1, 1, 1, 1))
         assert [r for r in full if r in set(constrained)] == constrained
 
     def test_bound_monotonicity_along_chain(self):
         chain = [distinguished_w(i, 3) for i in (1, 2, 4, 5)]
         previous: set = set()
         for w in chain:
-            current = set(tableaux_rows(enumerate_standard(4, 3, 6, bound=w)))
+            current = set(enumerate_standard(4, 3, 6, bound=w))
             assert previous <= current
             previous = current
 
@@ -200,26 +194,22 @@ class TestEnumerateStandard:
     )
     def test_matches_brute_force_oracle(self, shape_rows, r, n, bound, cont):
         bound_it = make_index_tuple(bound, n) if bound else None
-        got = tableaux_rows(
-            enumerate_standard(shape_rows, r, n, bound=bound_it, content=cont)
-        )
+        got = enumerate_standard(shape_rows, r, n, bound=bound_it, content=cont)
         expected = brute_force_standard(shape_rows, r, n, bound=bound, content=cont)
         assert got == expected
 
     def test_every_output_is_standard_with_right_content(self):
         w = distinguished_w(5, 3)
-        for t in enumerate_standard(4, 3, 6, bound=w, content=(2,) * 6):
-            assert is_standard(t, w)
-            assert content(t) == (2,) * 6
+        for rows in enumerate_standard(4, 3, 6, bound=w, content=(2,) * 6):
+            assert rows_are_standard(rows, w.values)
+            assert monomial_content(rows, 6) == (2,) * 6
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(enumeration_inputs())
     def test_matches_brute_force_oracle_on_random_inputs(self, args):
         shape_rows, r, n, bound, cont = args
         bound_it = make_index_tuple(bound, n) if bound else None
-        got = tableaux_rows(
-            enumerate_standard(shape_rows, r, n, bound=bound_it, content=cont)
-        )
+        got = enumerate_standard(shape_rows, r, n, bound=bound_it, content=cont)
         assert got == brute_force_standard(shape_rows, r, n, bound=bound, content=cont)
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -236,16 +226,16 @@ class TestEnumerateStandard:
     def test_matches_row_backtracker_on_every_invariant_piece(self, n):
         # the strip walk against the row-by-row backtracker it replaced,
         # order included, for R_1..R_3 on every X(w) in G(n, 2n), and for
-        # the two-row tableaux of any content
+        # the two-row monomials of any content
         for values in itertools.combinations(range(1, 2 * n + 1), n):
             w = make_index_tuple(values, 2 * n)
-            got = tableaux_rows(enumerate_standard(2, n, 2 * n, bound=w))
+            got = enumerate_standard(2, n, 2 * n, bound=w)
             assert got == reference_enumerate_standard(2, n, 2 * n, bound=values)
             for k in (1, 2, 3):
                 cont = (k,) * (2 * n)
                 got = enumerate_standard(2 * k, n, 2 * n, bound=w, content=cont)
                 expected = reference_enumerate_standard(2 * k, n, 2 * n, bound=values, content=cont)
-                assert tableaux_rows(got) == expected
+                assert got == expected
 
     def test_invariant_counts_on_g_5_10_match_enumeration(self):
         w = top_element(5, 10)

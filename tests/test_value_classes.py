@@ -18,7 +18,6 @@ from schubert_smt import (
     NormalityReport,
     QuotientGenerators,
     SemistableReport,
-    Tableau,
     VerificationReport,
     build_generators,
     distinguished_w,
@@ -27,20 +26,15 @@ from schubert_smt import (
 from schubert_smt.plucker import _Cell
 
 W5 = distinguished_w(5, 3)
-T1 = Tableau((IndexTuple((1, 3, 5), 6), IndexTuple((2, 4, 6), 6)))
-T2 = Tableau((IndexTuple((1, 2, 3), 6), IndexTuple((4, 5, 6), 6)))
+M1 = ((1, 3, 5), (2, 4, 6))
+M2 = ((1, 2, 3), (4, 5, 6))
 BASIS = invariant_basis(W5, 1)
 GENS = build_generators(3)
 
 # class: (field names, field values, the same with one field changed)
 CASES = {
     IndexTuple: (("values", "n"), ((2, 4, 6), 6), ((2, 4, 5), 6)),
-    Tableau: (("rows",), (T1.rows,), (T2.rows,)),
-    _Cell: (
-        ("basis", "points", "solver"),
-        ((T1.row_values(),), (), None),
-        ((T2.row_values(),), (), None),
-    ),
+    _Cell: (("basis", "points", "solver"), ((M1,), (), None), ((M2,), (), None)),
     GradedPieceBasis: (
         ("w", "k", "monomials"),
         (W5, 1, BASIS.monomials),
@@ -48,8 +42,8 @@ CASES = {
     ),
     NormalityReport: (
         ("w", "degree", "dim_lower_products", "dim_graded_piece", "spanned", "cokernel_witnesses"),
-        (W5, 2, 15, 16, False, (T1, T2)),
-        (W5, 2, 15, 16, False, (T1,)),
+        (W5, 2, 15, 16, False, (M1, M2)),
+        (W5, 2, 15, 16, False, (M1,)),
     ),
     GenerationReport: (
         ("degree", "dim_graded_piece", "dim_generated", "spanned"),
@@ -58,7 +52,7 @@ CASES = {
     ),
     SemistableReport: (
         ("w", "found", "witness", "degree", "cap"),
-        (W5, True, T1, 1, 2),
+        (W5, True, M1, 1, 2),
         (W5, False, None, None, 2),
     ),
     VerificationReport: (
@@ -150,15 +144,11 @@ def test_reprs_read_like_the_constructor_call():
 def test_validation_still_runs_on_construction():
     with pytest.raises(ValueError):
         IndexTuple((3, 2), 6)
-    with pytest.raises(ValueError):
-        Tableau((IndexTuple((1, 2), 4), IndexTuple((1, 2, 3), 4)))
-    with pytest.raises(ValueError):
-        Tableau(())
 
 
 def test_copied_basis_still_finds_positions():
     copied = copy.deepcopy(BASIS)
-    assert [copied.position(t.row_values()) for t in copied] == list(range(len(BASIS)))
+    assert [copied.position(rows) for rows in copied] == list(range(len(BASIS)))
 
 
 def test_importing_the_cli_loads_no_dataclasses():

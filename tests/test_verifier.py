@@ -5,18 +5,18 @@ import pytest
 
 from schubert_smt import invariant_ring, plucker
 from schubert_smt import (
+    PluckerPolynomial,
     build_generators,
     count_standard,
     distinguished_w,
     enumerate_standard,
     invariant_basis,
-    is_standard,
-    is_torus_invariant,
+    monomial_content,
     nonstandard_degree_one_product,
     restrict,
+    rows_are_standard,
     run_cases,
     straighten,
-    tableau_monomial,
     verify_exchange_identities,
     verify_minimal_cases,
     verify_non_normality,
@@ -40,14 +40,10 @@ class TestBuildGenerators:
     def test_matches_golden_fixture(self, n):
         fixture = load_fixture(n)
         gens = build_generators(n)
+        assert [[list(row) for row in rows] for rows in gens.deg1] == fixture["deg1"]
+        assert [[list(row) for row in rows] for rows in gens.deg2] == fixture["deg2"]
         assert [
-            [list(row) for row in t.row_values()] for t in gens.deg1
-        ] == fixture["deg1"]
-        assert [
-            [list(row) for row in t.row_values()] for t in gens.deg2
-        ] == fixture["deg2"]
-        assert [
-            list(row) for row in nonstandard_degree_one_product(n).row_values()
+            list(row) for row in nonstandard_degree_one_product(n)
         ] == fixture["nonstandard_product"]
         for i in range(1, 6):
             assert list(distinguished_w(i, n).values) == fixture["w"][f"w{i}"]
@@ -56,19 +52,16 @@ class TestBuildGenerators:
     def test_generators_well_formed(self, n):
         gens = build_generators(n)
         w5 = distinguished_w(5, n)
-        for t in gens.deg1:
-            assert is_standard(t, w5) and is_torus_invariant(t)
-            assert len(t.rows) == 2
-        for t in gens.deg2:
-            assert is_standard(t, w5) and is_torus_invariant(t)
-            assert len(t.rows) == 4
+        for k, gens_k in ((1, gens.deg1), (2, gens.deg2)):
+            for rows in gens_k:
+                assert rows_are_standard(rows, w5.values)
+                assert monomial_content(rows, 2 * n) == (k,) * (2 * n)
+                assert len(rows) == 2 * k and {len(row) for row in rows} == {n}
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_degree_one_generators_span_the_first_piece(self, n):
         basis = invariant_basis(distinguished_w(5, n), 1)
-        assert {t.row_values() for t in basis} == {
-            t.row_values() for t in build_generators(n).deg1
-        }
+        assert set(basis) == set(build_generators(n).deg1)
 
     def test_rejects_small_rank(self):
         with pytest.raises(ValueError):
@@ -91,8 +84,8 @@ class TestProductRelation:
         # residual of exactly twice that witness
         gens = build_generators(3)
         w5 = distinguished_w(5, 3)
-        x = [tableau_monomial(t) for t in gens.deg1]
-        y = [tableau_monomial(t) for t in gens.deg2]
+        x = [PluckerPolynomial.monomial(rows, 6) for rows in gens.deg1]
+        y = [PluckerPolynomial.monomial(rows, 6) for rows in gens.deg2]
         lhs = x[1] * x[2]
         good_rhs = x[0] * x[3] - y[1] - y[0] + x[4] * (x[0] - x[1] - x[2] + x[3] - x[4])
         bad_rhs = good_rhs + 2 * y[0]  # i.e. the y[0] term now enters with +1
@@ -128,7 +121,7 @@ class TestExchangeIdentities:
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_star_straightening(self, n):
         gens = build_generators(n)
-        z = tableau_monomial(nonstandard_degree_one_product(n))
+        z = PluckerPolynomial.monomial(nonstandard_degree_one_product(n), 2 * n)
         expected = generator_combination(gens, (1, -1, -1, 1, -1))
         assert straighten(z, distinguished_w(5, n)) == expected
 
@@ -155,7 +148,7 @@ class TestNonNormality:
         witnesses = {
             tuple(tuple(row) for row in t) for t in probe["cokernel_witnesses"]
         }
-        assert witnesses == {t.row_values() for t in build_generators(n).deg2}
+        assert witnesses == set(build_generators(n).deg2)
 
     def test_rank_two_case_is_spanned(self):
         report = verify_non_normality(2)
