@@ -145,7 +145,7 @@ def _cmd_straighten(args) -> int:
     result = straighten(poly, bound, seed=args.seed)
     payload = save_polynomial_document(result)
     payload["seed"] = args.seed
-    _emit(payload, [str(result)], args)
+    _emit(payload, [] if args.json else [str(result)], args)
     return EXIT_OK
 
 

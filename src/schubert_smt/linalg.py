@@ -2,9 +2,11 @@
 
 The determinant is a cofactor formula up to 5 x 5, the size of every
 Pluecker minor at ranks 3 to 5, and a fraction-free (Bareiss)
-elimination above; the replayable solver uses the same Bareiss update.
-Rank and membership run on gcd-reduced integer echelon rows.  Every
-intermediate value is an integer, and every division is exact.
+elimination above.  The solver applies the same Bareiss update to rows
+read one at a time, stops reading at full column rank, and takes more
+rows without starting over.  Rank and membership run on gcd-reduced
+integer echelon rows.  Every intermediate value is an integer, and every
+division is exact.
 """
 
 from math import gcd
@@ -145,61 +147,97 @@ class IntRowSpan:
 
 
 class GaussSolver:
-    """Fraction-free (Bareiss) elimination of an N x B integer matrix of
-    full column rank, replayed to solve A x = v for many right-hand sides.
+    """Fraction-free (Bareiss) elimination of integer rows of width B, read
+    one at a time and only until they have full column rank B, then
+    replayed to solve A x = v for many right-hand sides, A being the rows
+    read.
 
-    Each step k records its row swap, its pivot p, the previous pivot and
-    the multipliers of the rows below, and applies
-    a_ij <- (p * a_ij - a_ik * a_kj) / prev, the update of `det_int`.
-    The divisions are exact, so everything stays in ZZ.  `ok` is False
-    when a column has no pivot, i.e. the matrix is rank-deficient.
+    Each row read is reduced once, against the pivot rows before it in
+    their order.  Step t takes the row's entry m in pivot column t and
+    applies x <- (p_t * x - m * y) / p_{t-1} to its other entries, y those
+    of pivot row t: the update of `det_int`, whose divisions Sylvester's
+    identity makes exact.  A row left nonzero becomes the next pivot row,
+    pivoting on its first nonzero entry; a row left zero lies in the span
+    of the pivot rows, and `solve` checks that its right-hand side does
+    too.  A row is kept as its multipliers m and, for a pivot row, its
+    reduced entries off the pivot columns, so rows read later (`extend`)
+    join the same elimination.  `ok` is True once the rank is B.
     """
 
-    def __init__(self, matrix):
-        # after step k, rows below k keep only their columns k+1..B-1
-        a = [list(row) for row in matrix]
-        self.nrows = len(a)
-        self.ncols = len(a[0]) if a else 0
-        self.ok = True
-        self.steps: list[tuple[int, int, int, list[int]]] = []
-        prev = 1
-        for k in range(self.ncols):
-            piv = next((i for i in range(k, self.nrows) if a[i][0]), None)
-            if piv is None:
-                self.ok = False
-                return
-            a[k], a[piv] = a[piv], a[k]
-            pk = a[k][0]
-            tail = a[k][1:]
-            mults = [a[i][0] for i in range(k + 1, self.nrows)]
-            for i, m in enumerate(mults, start=k + 1):
-                a[i] = [(pk * x - m * y) // prev for x, y in zip(a[i][1:], tail)]
-            self.steps.append((piv, pk, prev, mults))
-            prev = pk
-        self.denominator = prev
-        self.upper = a[:self.ncols]
+    def __init__(self, ncols: int, rows=()):
+        self.ncols = ncols
+        self.nrows = 0  # rows read so far
+        # per pivot: its position among the columns not yet pivoted, the
+        # pivot, and the row's reduced entries in the columns after that
+        self._steps: list[tuple[int, int, list[int]]] = []
+        # (read index, multipliers) of the pivot rows and of the other rows
+        self._pivot_rows: list[tuple[int, list[int]]] = []
+        self._dependent: list[tuple[int, list[int]]] = []
+        self.extend(rows)
+
+    @property
+    def rank(self) -> int:
+        """Rank over QQ of the rows read."""
+        return len(self._steps)
+
+    @property
+    def ok(self) -> bool:
+        return len(self._steps) == self.ncols
+
+    def extend(self, rows) -> bool:
+        """Read rows until the rank is B or the rows run out; returns `ok`."""
+        steps = self._steps
+        rows = iter(rows)
+        while len(steps) < self.ncols:
+            row = next(rows, None)
+            if row is None:
+                break
+            v = list(row)
+            if len(v) != self.ncols:
+                raise ValueError(f"row has length {len(v)}, expected {self.ncols}")
+            mults = []
+            prev = 1
+            for q, p, tail in steps:
+                m = v.pop(q)
+                if m:
+                    v = [(p * x - m * y) // prev for x, y in zip(v, tail)]
+                elif p != prev:
+                    v = [p * x // prev for x in v]
+                mults.append(m)
+                prev = p
+            q = next((i for i, x in enumerate(v) if x), None)
+            if q is None:
+                self._dependent.append((self.nrows, mults))
+            else:
+                steps.append((q, v.pop(q), v))
+                self._pivot_rows.append((self.nrows, mults))
+            self.nrows += 1
+        return self.ok
 
     def solve(self, rhs) -> tuple[list[int], int] | None:
-        """(y, D) with x = y / D the solution of A x = rhs, or None if the
-        system is inconsistent.  D is the last pivot; y is integral by
-        Cramer's rule, and x is integral exactly when D divides every y."""
+        """(y, D) with x = y / D the solution of A x = rhs, rhs[i] being the
+        right-hand side of the i-th row read, or None if the system is
+        inconsistent; entries past the rows read are not looked at.  D is
+        the last pivot; y is integral by Cramer's rule, and x is integral
+        exactly when D divides every y."""
         if not self.ok:
-            raise RuntimeError("solver built from a rank-deficient matrix")
-        v = list(rhs)
-        for k, (piv, pk, prev, mults) in enumerate(self.steps):
-            v[k], v[piv] = v[piv], v[k]
-            vk = v[k]
-            for i, m in enumerate(mults, start=k + 1):
-                v[i] = (pk * v[i] - m * vk) // prev
-        if any(v[self.ncols:]):
+            raise RuntimeError("solver has not reached full column rank")
+        steps = self._steps
+        values: list[int] = []  # the reduced right-hand sides of the pivot rows
+
+        def reduce(v, mults):
+            prev = 1
+            for (_, p, _), m, u in zip(steps, mults, values):
+                v = (p * v - m * u) // prev
+                prev = p
+            return v
+
+        for i, mults in self._pivot_rows:
+            values.append(reduce(rhs[i], mults))
+        if any(reduce(rhs[i], mults) for i, mults in self._dependent):
             return None
-        d = self.denominator
-        y = [0] * self.ncols
-        for i in reversed(range(self.ncols)):
-            row = self.upper[i]
-            s = d * v[i]
-            for j in range(i + 1, self.ncols):
-                if y[j]:
-                    s -= row[j - i] * y[j]
-            y[i] = s // row[0]
+        d = steps[-1][1] if steps else 1
+        y: list[int] = []  # the solution on the columns after pivot t, times d
+        for (q, p, tail), v in zip(reversed(steps), reversed(values)):
+            y.insert(q, (d * v - sum(a * b for a, b in zip(tail, y))) // p)
         return y, d

@@ -427,29 +427,33 @@ def _standard_basis(bound: IndexTuple, content: tuple[int, ...]) -> tuple[Monomi
 
 @lru_cache(maxsize=16)
 def _interpolation_cell(bound: IndexTuple, content: tuple[int, ...], seed) -> _Cell:
-    """The sample points of one weight cell and its factored solver.
+    """The sample points of one weight cell and its solver.
 
     Draws B + EXTRA_SAMPLES points, then EXTRA_SAMPLES more at a time
-    until the evaluation matrix has full column rank B, up to a cap of
-    8 (B + EXTRA_SAMPLES) points.
+    until the solver's rows have full column rank B, up to a cap of
+    8 (B + EXTRA_SAMPLES) points.  A point's row of basis values is
+    computed only if the solver reads it, and it reads none past full rank.
     """
     basis = _standard_basis(bound, content)
+
+    def rows(points):
+        return ([monomial_value(b, m) for b in basis] for m in points)
+
     count = len(basis) + EXTRA_SAMPLES
     cap = 8 * count
-    matrix = []
-    while True:
-        points = _sample(bound, seed, count)
-        for m in points[len(matrix):]:
-            matrix.append([monomial_value(b, m) for b in basis])
-        solver = GaussSolver(matrix)
-        if solver.ok:
-            return _Cell(basis=basis, points=points, solver=solver)
+    points = _sample(bound, seed, count)
+    solver = GaussSolver(len(basis), rows(points))
+    while not solver.ok:
         if count >= cap:
             raise RankDeficientError(
-                f"rank {rank_int(matrix)} < B={len(basis)} at {count} sample points "
+                f"rank {solver.rank} < B={len(basis)} at {count} sample points "
                 f"(the cap) in the (degree={sum(content) // bound.r}, content={content}) cell"
             )
         count = min(count + EXTRA_SAMPLES, cap)
+        grown = _sample(bound, seed, count)
+        solver.extend(rows(grown[len(points):]))
+        points = grown
+    return _Cell(basis=basis, points=points, solver=solver)
 
 
 def _straighten_component(
@@ -459,19 +463,25 @@ def _straighten_component(
     cell = _interpolation_cell(bound, cont, seed)
     rhs = [value_at(comp, m) for m in cell.points]
     solved = cell.solver.solve(rhs)
+    if solved is not None:
+        numerators, d = solved
+        support = [(b, y) for b, y in zip(cell.basis, numerators) if y]
+        for i, (m, v) in enumerate(zip(cell.points, rhs)):
+            if sum(monomial_value(b, m) * y for b, y in support) != d * v:
+                if i < cell.solver.nrows:
+                    raise StraighteningError("solution fails the exact back-check; bug")
+                # the rows read fix the solution, so this unread point
+                # lies outside the span of the basis values
+                solved = None
+                break
     if solved is None:
         # at full column rank more points cannot help
         raise StraighteningError(
             f"inconsistent system at full column rank in the (degree={degree}, "
             f"content={cont}) cell; the standard basis does not span it; bug"
         )
-    numerators, d = solved
     if any(y % d for y in numerators):
         raise StraighteningError("non-integral straightening coefficients; bug")
-    support = [(b, y) for b, y in zip(cell.basis, numerators) if y]
-    for m, v in zip(cell.points, rhs):
-        if sum(monomial_value(b, m) * y for b, y in support) != d * v:
-            raise StraighteningError("solution fails the exact back-check; bug")
     return PluckerPolynomial._of(r, n, {b: y // d for b, y in support})
 
 

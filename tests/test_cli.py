@@ -209,6 +209,18 @@ class TestStraightenCommand:
         _, out2, _ = run_cli(capsys, ["straighten", "--input", path, "--json"])
         assert out1 == out2
 
+    def test_json_output_renders_no_text(self, tmp_path, capsys, monkeypatch):
+        rendered = []
+        text = PluckerPolynomial.__str__
+        monkeypatch.setattr(
+            PluckerPolynomial, "__str__", lambda f: rendered.append(f) or text(f)
+        )
+        path = write_doc(tmp_path, VIOLATING_DOC)
+        code, out, _ = run_cli(capsys, ["straighten", "--input", path, "--json"])
+        assert code == EXIT_OK and json.loads(out)["terms"] and not rendered
+        code, out, _ = run_cli(capsys, ["straighten", "--input", path])
+        assert code == EXIT_OK and out == "- p[1,2]p[3,4] + p[1,3]p[2,4]\n" and len(rendered) == 1
+
 
 class TestUnreadableInputAndUnwritableOutput:
     """An input that cannot be read or decoded, or an output that cannot be

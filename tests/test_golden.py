@@ -42,6 +42,10 @@ CALLS = {
     "probe_generation_456_k4": [
         "probe", "--w", "4,5,6", "--n2n", "6", "--mode", "generation", "--k-max", "4", "--json",
     ],
+    # the B = 112 cell grows from 120 to 128 points
+    "probe_generation_3578_k3": [
+        "probe", "--w", "3,5,7,8", "--mode", "generation", "--k-max", "3", "--json",
+    ],
     "probe_normality_24678": ["probe", "--w", "2,4,6,7,8", "--mode", "normality", "--json"],
     "probe_normality_2678": ["probe", "--w", "2,6,7,8", "--mode", "normality", "--json"],
     "basis_invariant_456_k2": ["basis", "--w", "4,5,6", "--n2n", "6", "--k", "2", "--json"],

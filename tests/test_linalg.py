@@ -2,8 +2,10 @@
 
 Every property compares `schubert_smt.linalg` with the `Fraction`
 oracles in `helpers`, on integer matrices with at most 12 rows and at
-most 8 columns; the 3 x 3 and 4 x 4 determinants also on entries up to
-10**6 in size.
+most 8 columns (up to 38 rows when zero, repeated and dependent rows
+are mixed in); the 3 x 3 to 5 x 5 determinants also on entries up to
+10**6 in size.  The solver reads rows only up to full column rank, so
+its results are compared with the oracles on the rows it read.
 """
 
 from fractions import Fraction
@@ -57,6 +59,51 @@ def low_rank(draw, n=None, b=None):
     return [[sum(c[i][t] * r[t][j] for t in range(k)) for j in range(b)] for i in range(n)]
 
 
+def prefix_to_full_rank(a):
+    """The number of leading rows of `a` up to the first prefix of full
+    column rank, or len(a) if there is none."""
+    b = len(a[0]) if a else 0
+    return next((k for k in range(len(a) + 1) if fraction_rank(a[:k]) == b), len(a))
+
+
+class Counting:
+    """An iterator over rows that counts the rows it hands out."""
+
+    def __init__(self, rows):
+        self.rows = iter(rows)
+        self.handed_out = 0
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        row = next(self.rows)
+        self.handed_out += 1
+        return row
+
+
+@st.composite
+def padded(draw):
+    """A matrix of full column rank B <= 8 with zero, repeated and dependent
+    rows before, between and after its rows, and how many rows it has up
+    to its first prefix of full column rank."""
+    a = draw(full_column_rank())
+    rows = []
+    for row in a + [None]:
+        for _ in range(draw(st.integers(0, 2))):
+            kind = draw(st.sampled_from(("zero", "repeat", "combination")))
+            if kind == "zero" or not rows:
+                rows.append([0] * len(a[0]))
+            elif kind == "repeat":
+                rows.append(list(draw(st.sampled_from(rows))))
+            else:
+                coeffs = draw(st.lists(st.integers(-2, 2), min_size=len(rows), max_size=len(rows)))
+                rows.append([sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(len(a[0]))])
+        if row is not None:
+            rows.append(row)
+    return rows
+
+
 class TestGaussSolver:
     @PROPERTY
     @given(st.data())
@@ -64,7 +111,7 @@ class TestGaussSolver:
         a = data.draw(full_column_rank())
         x = data.draw(st.lists(st.integers(-5, 5), min_size=len(a[0]), max_size=len(a[0])))
         rhs = mat_vec(a, x)
-        solver = GaussSolver(a)
+        solver = GaussSolver(len(a[0]), a)
         assert solver.ok
         numerators, d = solver.solve(rhs)
         assert [Fraction(y, d) for y in numerators] == fraction_solve(a, rhs) == x
@@ -72,14 +119,21 @@ class TestGaussSolver:
     @PROPERTY
     @given(st.data())
     def test_rhs_outside_the_column_span_is_inconsistent(self, data):
-        a = data.draw(full_column_rank(min_extra_rows=1))
+        # a row that is a combination of the rows before it, put where the
+        # solver is still short of full rank, is read; a right-hand side
+        # perturbed there leaves the column span of the rows read
+        a = data.draw(full_column_rank())
+        j = data.draw(st.integers(0, prefix_to_full_rank(a) - 1))
+        coeffs = data.draw(st.lists(st.integers(-2, 2), min_size=j, max_size=j))
+        a.insert(j, [sum(c * row[k] for c, row in zip(coeffs, a)) for k in range(len(a[0]))])
         x = data.draw(st.lists(st.integers(-5, 5), min_size=len(a[0]), max_size=len(a[0])))
-        units = [[int(i == j) for j in range(len(a))] for i in range(len(a))]
-        unit = next(e for e in units if fraction_solve(a, e) is None)
         scale = data.draw(st.integers(1, 3) | st.integers(-3, -1))
-        rhs = [v + scale * e for v, e in zip(mat_vec(a, x), unit)]
-        assert fraction_solve(a, rhs) is None
-        assert GaussSolver(a).solve(rhs) is None
+        rhs = mat_vec(a, x)
+        rhs[j] += scale
+        solver = GaussSolver(len(a[0]), a)
+        assert j < solver.nrows
+        assert fraction_solve(a[:solver.nrows], rhs[:solver.nrows]) is None
+        assert solver.solve(rhs) is None
 
     @PROPERTY
     @given(st.data())
@@ -89,16 +143,20 @@ class TestGaussSolver:
         a = data.draw(matrices(n, b))
         j = data.draw(st.integers(0, b - 1))
         a = [row + [row[j]] for row in a]
-        solver = GaussSolver(a)
+        solver = GaussSolver(b + 1, a)
         assert solver.ok is False
+        assert solver.nrows == n and solver.rank == fraction_rank(a)
         with pytest.raises(RuntimeError):
             solver.solve([0] * n)
 
     def test_zero_columns(self):
-        solver = GaussSolver([[] for _ in range(8)])
-        assert solver.ok
+        # full column rank before any row: nothing is read, so no
+        # right-hand side can be inconsistent with the rows read
+        rows = Counting([[] for _ in range(8)])
+        solver = GaussSolver(0, rows)
+        assert solver.ok and solver.nrows == rows.handed_out == 0
         assert solver.solve([0] * 8) == ([], 1)
-        assert solver.solve([0] * 7 + [3]) is None
+        assert solver.solve([0] * 7 + [3]) == ([], 1)
 
     @PROPERTY
     @given(st.data())
@@ -107,7 +165,7 @@ class TestGaussSolver:
         a = data.draw(matrices(b, b))
         assume(fraction_rank(a) == b)
         rhs = data.draw(st.lists(st.integers(-9, 9), min_size=b, max_size=b))
-        numerators, d = GaussSolver(a).solve(rhs)
+        numerators, d = GaussSolver(b, a).solve(rhs)
         x = fraction_solve(a, rhs)
         assert [Fraction(y, d) for y in numerators] == x
         assert [y % d == 0 for y in numerators] == [xi.denominator == 1 for xi in x]
@@ -116,13 +174,74 @@ class TestGaussSolver:
         a = [[2, 1], [1, 3], [1, -2]]
         rhs = [1, 0, 1]
         x = [Fraction(3, 5), Fraction(-1, 5)]
-        numerators, d = GaussSolver(a).solve(rhs)
+        numerators, d = GaussSolver(2, a).solve(rhs)
         assert fraction_solve(a, rhs) == x
         assert [Fraction(y, d) for y in numerators] == x
         assert any(y % d for y in numerators)
 
     def test_more_columns_than_rows_is_rank_deficient(self):
-        assert not GaussSolver([[1, 2, 3], [4, 5, 6]]).ok
+        solver = GaussSolver(3, [[1, 2, 3], [4, 5, 6]])
+        assert not solver.ok and solver.rank == 2
+
+    def test_rejects_wrong_width(self):
+        with pytest.raises(ValueError):
+            GaussSolver(3, [[1, 2]])
+
+
+class TestIncrementalElimination:
+    @PROPERTY
+    @given(st.data())
+    def test_batches_give_the_result_of_one_batch(self, data):
+        a = data.draw(full_column_rank() | low_rank())
+        b = len(a[0])
+        rhs = data.draw(
+            st.just(mat_vec(a, [1] * b))
+            | st.lists(st.integers(-9, 9), min_size=len(a), max_size=len(a))
+        )
+        cuts = sorted(data.draw(st.lists(st.integers(0, len(a)), max_size=4)))
+        batches = [a[i:j] for i, j in zip([0] + cuts, cuts + [len(a)])]
+        at_once = GaussSolver(b, a)
+        in_batches = GaussSolver(b, batches[0])
+        for batch in batches[1:]:
+            in_batches.extend(batch)
+        one_by_one = GaussSolver(b)
+        for row in a:
+            one_by_one.extend([row])
+        solvers = (at_once, in_batches, one_by_one)
+        assert len({(s.ok, s.rank, s.nrows) for s in solvers}) == 1
+        read = at_once.nrows
+        if not at_once.ok:
+            assert read == len(a) and at_once.rank == fraction_rank(a)
+            return
+        assert at_once.rank == fraction_rank(a[:read]) == b
+        results = [s.solve(rhs) for s in solvers]
+        assert results[0] == results[1] == results[2]
+        x = fraction_solve(a[:read], rhs[:read])
+        if x is None:
+            assert results[0] is None
+        else:
+            numerators, d = results[0]
+            assert [Fraction(y, d) for y in numerators] == x
+
+    @PROPERTY
+    @given(full_column_rank() | low_rank())
+    def test_no_row_is_read_past_full_rank(self, a):
+        rows = Counting(a)
+        solver = GaussSolver(len(a[0]), rows)
+        assert rows.handed_out == solver.nrows == prefix_to_full_rank(a)
+        solver.extend(rows)
+        assert rows.handed_out == solver.nrows
+
+    @PROPERTY
+    @given(st.data())
+    def test_full_rank_past_zero_repeated_and_dependent_rows(self, data):
+        a = data.draw(padded())
+        b = len(a[0])
+        x = data.draw(st.lists(st.integers(-5, 5), min_size=b, max_size=b))
+        solver = GaussSolver(b, a)
+        assert solver.ok and solver.nrows == prefix_to_full_rank(a)
+        numerators, d = solver.solve(mat_vec(a, x))
+        assert [Fraction(y, d) for y in numerators] == x
 
 
 class TestDetRank:

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 
@@ -32,6 +33,7 @@ from schubert_smt.plucker import (
 
 from helpers import (
     fraction_det,
+    grew,
     leibniz_det,
     recording_cells,
     reference_schubert_point,
@@ -378,7 +380,31 @@ class TestStraighten:
         for point in cell.points:
             assert point.columns == random_schubert_point(w, stream)
         matrix = [[plucker.monomial_value(b, m) for b in cell.basis] for m in cell.points]
-        assert not GaussSolver(matrix[:size + plucker.EXTRA_SAMPLES]).ok
+        assert not GaussSolver(size, matrix[:size + plucker.EXTRA_SAMPLES]).ok
+        assert cell.solver.nrows > size + plucker.EXTRA_SAMPLES
+
+    def test_growth_extends_one_solver_and_evaluates_each_row_once(self, monkeypatch):
+        # the cell above reads the rows of its 8 new points into the
+        # solver that read its first 24, and computes the basis values at
+        # a point once, and only at the points whose rows the solver reads
+        solvers = []
+        evaluated = collections.Counter()  # basis values computed per point
+        value = plucker.monomial_value
+        monkeypatch.setattr(
+            plucker, "GaussSolver", lambda *args: solvers.append(GaussSolver(*args)) or solvers[-1]
+        )
+        monkeypatch.setattr(
+            plucker, "monomial_value", lambda rows, m: evaluated.update([id(m)]) or value(rows, m)
+        )
+        plucker._interpolation_cell.cache_clear()
+        try:
+            cell = plucker._interpolation_cell(distinguished_w(5, 5), (2,) * 10, 2)
+        finally:
+            plucker._interpolation_cell.cache_clear()
+        assert grew(cell) and solvers == [cell.solver]
+        read = cell.points[:cell.solver.nrows]
+        assert sorted(evaluated) == sorted(id(m) for m in read)
+        assert set(evaluated.values()) == {len(cell.basis)}
 
     def test_back_check_catches_a_wrong_integral_solution(self, monkeypatch):
         original = GaussSolver.solve
@@ -390,6 +416,23 @@ class TestStraighten:
         monkeypatch.setattr(GaussSolver, "solve", shifted)
         with pytest.raises(StraighteningError, match="back-check"):
             straighten(PluckerPolynomial.monomial(((1, 4), (2, 3)), 4), seed=1)
+
+    def test_inconsistency_at_an_unread_point_is_inconsistent(self, monkeypatch):
+        # the rows read fix the solution; a right-hand side made wrong
+        # only at the cell's last point, whose row was never read, leaves
+        # the sampled system without a solution
+        f = PluckerPolynomial.monomial(((1, 4), (2, 3)), 4)
+        plucker._interpolation_cell.cache_clear()
+        try:
+            cell = plucker._interpolation_cell(top_element(2, 4), (1, 1, 1, 1), 1)
+            assert cell.solver.nrows < len(cell.points)
+            last = cell.points[-1]
+            value = plucker.value_at
+            monkeypatch.setattr(plucker, "value_at", lambda g, m: value(g, m) + (m is last))
+            with pytest.raises(StraighteningError, match="inconsistent"):
+                straighten(f, seed=1)
+        finally:
+            plucker._interpolation_cell.cache_clear()
 
     def test_inconsistent_system_fails_at_once(self, monkeypatch):
         # without ((1, 3), (2, 4)) the basis cannot express p14 p23, and
@@ -650,11 +693,18 @@ class TestSampleStream:
             builds[-1].append(sample(*args))
             return builds[-1][-1]
 
-        def refusing(matrix):
-            solver = GaussSolver(matrix)
-            if len(matrix) == len(matrix[0]) + plucker.EXTRA_SAMPLES:
-                solver.ok = False
-            return solver
+        class Refusing(GaussSolver):
+            # short of full rank after the rows of the first B + 8 points,
+            # whatever they are
+            batches = 0
+
+            def extend(self, rows):
+                self.batches += 1
+                return super().extend(rows)
+
+            @property
+            def ok(self):
+                return super().ok and self.batches > 1
 
         caches = (build, plucker._stream)
         for cache in caches:
@@ -663,7 +713,7 @@ class TestSampleStream:
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(plucker, "_interpolation_cell", recording_build)
                 patch.setattr(plucker, "_sample", recording_sample)
-                patch.setattr(plucker, "GaussSolver", refusing)
+                patch.setattr(plucker, "GaussSolver", Refusing)
                 grown = straighten(f, w, seed=a)
             expected = straighten(f, w, seed=b)
         finally:
