@@ -293,7 +293,9 @@ def generation_degree_probe(w: IndexTuple, k_max: int, seed=0) -> list[Generatio
     T_1, T_2 are the full graded pieces; for d >= 3 the generated piece
     is T_d = T_{d-1}.R_1 + T_{d-2}.R_2, and the report records whether
     it equals R_d.  A piece equal to R_d is carried to the next degree
-    as the basis monomials, any other as integer rows of its span.
+    as the basis monomials; any other as the products, in coordinates of
+    R_d, that raised the rank of its span (`IntRowSpan.rows`), a basis of
+    T_d.
     """
     if k_max < 3:
         raise ValueError("k_max must be >= 3")

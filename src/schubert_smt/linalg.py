@@ -2,21 +2,23 @@
 
 The determinant is a cofactor formula up to 5 x 5, the size of every
 Pluecker minor at ranks 3 to 5, and a fraction-free (Bareiss)
-elimination above.  The solver applies the same Bareiss update to rows
-read one at a time, stops reading at full column rank, and takes more
-rows without starting over.  Rank and membership run on gcd-reduced
-integer echelon rows.  Every intermediate value is an integer, and every
-division is exact.
+elimination above.  One function, `_eliminate`, applies the same
+Bareiss update to rows read one at a time: the solver runs on it, stops
+reading at full column rank and takes more rows without starting over,
+and so do rank and membership (`IntRowSpan`).  Every intermediate value
+is an integer, and every division is exact.
 """
-
-from math import gcd
 
 
 def det_int(rows) -> int:
     """Determinant of a square integer matrix, given as a sequence of rows.
 
     Up to 5 x 5 it is a cofactor formula read off the rows without a copy;
-    above that, Bareiss elimination on a copy.
+    above that, Bareiss elimination on a copy, swept in place column by
+    column.  The sweep stays apart from `_eliminate`: on 2000 minors per
+    size of Schubert points, a determinant taken row at a time through it
+    cost 11.9 against 7.2 us at 6 x 6 and 22.0 against 15.4 us at 8 x 8
+    (CPython 3.11 on a 2-core machine).
     """
     k = len(rows)
     if k == 3:
@@ -89,61 +91,69 @@ def rank_int(rows) -> int:
     return sum(span.add(row) for row in rows)
 
 
-def _gcd_normalize(vec: list[int]) -> list[int]:
-    g = 0
-    for x in vec:
-        g = gcd(g, x)
-    if g > 1:
-        vec = [x // g for x in vec]
-    lead = next((x for x in vec if x), 0)
-    if lead < 0:
-        vec = [-x for x in vec]
-    return vec
+def _eliminate(steps, row, width: int) -> tuple[list[int], tuple[int, int, list[int]] | None]:
+    """Reduce a row against pivot steps: (its multipliers, the pivot step it
+    would add, or None if it reduces to zero).
+
+    A step (q, p, tail) is a pivot row reduced by the steps before it: q is
+    its pivot column's position among the columns not yet pivoted, p the
+    pivot, tail its reduced entries in the columns after that.  Step t
+    takes the row's entry m in column q and applies x <- (p_t * x - m * y)
+    / p_{t-1} to its other entries, y those of the tail: the update of
+    `det_int`, whose divisions Sylvester's identity makes exact.  A row
+    left nonzero pivots on its first nonzero entry.
+    """
+    v = list(row)
+    if len(v) != width:
+        raise ValueError(f"row has length {len(v)}, expected {width}")
+    mults = []
+    prev = 1
+    for q, p, tail in steps:
+        m = v.pop(q)
+        if m:
+            v = [(p * x - m * y) // prev for x, y in zip(v, tail)]
+        elif p != prev:
+            v = [p * x // prev for x in v]
+        mults.append(m)
+        prev = p
+    q = next((i for i, x in enumerate(v) if x), None)
+    return mults, None if q is None else (q, v.pop(q), v)
 
 
 class IntRowSpan:
-    """Incremental row space over QQ of integer vectors, kept as
-    gcd-reduced integer echelon rows.
+    """Incremental row space over QQ of integer vectors of one width.
 
-    Cross-multiplication keeps everything in ZZ (fraction-free); scaling
-    rows never changes the span, so rank and membership are exact.
+    The vectors added are reduced by `_eliminate`, the solver's
+    fraction-free update, and a vector not in the span of those before it
+    becomes the next pivot step.  Every division is exact, so rank and
+    membership are exact.
     """
 
     def __init__(self, width: int):
         self.width = width
-        self.pivots: dict[int, list[int]] = {}
-
-    def _reduce(self, vec) -> tuple[list[int], int | None]:
-        v = list(vec)
-        if len(v) != self.width:
-            raise ValueError(f"vector has length {len(v)}, expected {self.width}")
-        while True:
-            lead = next((i for i, x in enumerate(v) if x), None)
-            if lead is None or lead not in self.pivots:
-                return v, lead
-            row = self.pivots[lead]
-            a, b = row[lead], v[lead]
-            v = [a * x - b * y for x, y in zip(v, row)]
-            v = _gcd_normalize(v)
+        self._steps: list[tuple[int, int, list[int]]] = []
+        self._rows: list[list[int]] = []  # the vectors that became steps
 
     def add(self, vec) -> bool:
         """Insert a vector; True if the rank grew."""
-        v, lead = self._reduce(vec)
-        if lead is None:
+        _, step = _eliminate(self._steps, vec, self.width)
+        if step is None:
             return False
-        self.pivots[lead] = _gcd_normalize(v)
+        self._steps.append(step)
+        self._rows.append(list(vec))
         return True
 
     def contains(self, vec) -> bool:
-        _, lead = self._reduce(vec)
-        return lead is None
+        return _eliminate(self._steps, vec, self.width)[1] is None
 
     @property
     def rank(self) -> int:
-        return len(self.pivots)
+        return len(self._steps)
 
     def rows(self) -> list[list[int]]:
-        return [self.pivots[c] for c in sorted(self.pivots)]
+        """The vectors added that raised the rank, in the order added: a
+        basis of the span."""
+        return list(self._rows)
 
 
 class GaussSolver:
@@ -152,23 +162,18 @@ class GaussSolver:
     replayed to solve A x = v for many right-hand sides, A being the rows
     read.
 
-    Each row read is reduced once, against the pivot rows before it in
-    their order.  Step t takes the row's entry m in pivot column t and
-    applies x <- (p_t * x - m * y) / p_{t-1} to its other entries, y those
-    of pivot row t: the update of `det_int`, whose divisions Sylvester's
-    identity makes exact.  A row left nonzero becomes the next pivot row,
-    pivoting on its first nonzero entry; a row left zero lies in the span
-    of the pivot rows, and `solve` checks that its right-hand side does
-    too.  A row is kept as its multipliers m and, for a pivot row, its
-    reduced entries off the pivot columns, so rows read later (`extend`)
-    join the same elimination.  `ok` is True once the rank is B.
+    Each row read is reduced once by `_eliminate`, against the pivot
+    steps before it in their order.  A row left nonzero becomes the next
+    pivot step; a row left zero lies in the span of the pivot rows, and
+    `solve` checks that its right-hand side does too.  A row is kept as
+    its multipliers, so rows read later (`extend`) join the same
+    elimination.  `ok` is True once the rank is B.
     """
 
     def __init__(self, ncols: int, rows=()):
         self.ncols = ncols
         self.nrows = 0  # rows read so far
-        # per pivot: its position among the columns not yet pivoted, the
-        # pivot, and the row's reduced entries in the columns after that
+        # the pivot steps (q, p, tail) that `_eliminate` reduces against
         self._steps: list[tuple[int, int, list[int]]] = []
         # (read index, multipliers) of the pivot rows and of the other rows
         self._pivot_rows: list[tuple[int, list[int]]] = []
@@ -192,24 +197,11 @@ class GaussSolver:
             row = next(rows, None)
             if row is None:
                 break
-            v = list(row)
-            if len(v) != self.ncols:
-                raise ValueError(f"row has length {len(v)}, expected {self.ncols}")
-            mults = []
-            prev = 1
-            for q, p, tail in steps:
-                m = v.pop(q)
-                if m:
-                    v = [(p * x - m * y) // prev for x, y in zip(v, tail)]
-                elif p != prev:
-                    v = [p * x // prev for x in v]
-                mults.append(m)
-                prev = p
-            q = next((i for i, x in enumerate(v) if x), None)
-            if q is None:
+            mults, step = _eliminate(steps, row, self.ncols)
+            if step is None:
                 self._dependent.append((self.nrows, mults))
             else:
-                steps.append((q, v.pop(q), v))
+                steps.append(step)
                 self._pivot_rows.append((self.nrows, mults))
             self.nrows += 1
         return self.ok

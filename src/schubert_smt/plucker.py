@@ -71,18 +71,16 @@ def normalize_index(values, n: int) -> tuple[int, Row | None]:
 def normalize_monomial(rows, n: int) -> tuple[int, Monomial | None]:
     """Sort each row, tracking signs, and then the rows: (sign, monomial).
 
-    Returns (0, None) at the first row with a repeated value; rejects
-    out-of-range values in the rows before it.
+    Rejects out-of-range values in every row, then returns (0, None) if
+    a row has a repeated value.
     """
     sign = 1
     normalized = []
     for row in rows:
         s, sorted_row = normalize_index(row, n)
-        if not s:
-            return 0, None
         sign *= s
         normalized.append(sorted_row)
-    return sign, tuple(sorted(normalized))
+    return (sign, tuple(sorted(normalized))) if sign else (0, None)
 
 
 class PluckerPolynomial:

@@ -125,6 +125,15 @@ class TestMalformedDocuments:
         assert code == EXIT_USAGE and out == ""
         assert err == "error: document is not degree-homogeneous\n"
 
+    @pytest.mark.parametrize("monomial", [[[1, 1], [7, 8]], [[7, 8], [1, 1]]])
+    def test_out_of_range_row_exits_2_in_any_order(self, tmp_path, capsys, monomial):
+        # the repeated value in [1, 1] makes the term zero, but only after
+        # every row is checked against 1..n
+        path = write_doc(tmp_path, _doc(monomial, r=2, n=4))
+        code, out, err = run_cli(capsys, ["straighten", "--input", path, "--json"])
+        assert code == EXIT_USAGE and out == ""
+        assert err == "error: values [7, 8] out of range 1..4\n"
+
     def test_well_formed_neighbour_loads(self):
         poly = load_polynomial_document(_doc([[3, 2, 1], [4, 5, 6]]))
         assert poly == PluckerPolynomial.monomial(((1, 2, 3), (4, 5, 6)), 6, -1)

@@ -48,6 +48,8 @@ CALLS = {
     ],
     "probe_normality_24678": ["probe", "--w", "2,4,6,7,8", "--mode", "normality", "--json"],
     "probe_normality_2678": ["probe", "--w", "2,6,7,8", "--mode", "normality", "--json"],
+    # 55 of 58 with 6 witnesses: a span far from the unit vectors
+    "probe_normality_3678": ["probe", "--w", "3,6,7,8", "--mode", "normality", "--json"],
     "basis_invariant_456_k2": ["basis", "--w", "4,5,6", "--n2n", "6", "--k", "2", "--json"],
     "basis_invariant_456_k2_text": ["basis", "--w", "4,5,6", "--n2n", "6", "--k", "2"],
     "basis_all_246_k1": ["basis", "--w", "2,4,6", "--k", "1", "--all", "--json"],

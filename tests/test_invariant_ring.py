@@ -20,13 +20,16 @@ from schubert_smt import (
     normality_probe,
     rows_are_standard,
     semistable_nonempty,
+    straighten,
     top_element,
 )
 from schubert_smt import build_generators
 from schubert_smt import invariant_ring, plucker
+from schubert_smt.linalg import IntRowSpan
 
 from helpers import (
     brute_force_standard,
+    fraction_rank,
     function_rank,
     grew,
     recording_cells,
@@ -375,6 +378,54 @@ class TestSpanProbesMatchTheReference:
         assert straightened_products
         assert combined.rank == unit.rank == len(bases[3]) == 40
 
+    def test_non_spanned_piece_is_carried_to_the_next_degree(self, monkeypatch):
+        # no variety tried leaves a T_d short of R_d, so T_2 on X(4,5,6) is
+        # cut to every other element of R_2: T_3 = T_2.R_1 falls short and
+        # is carried to degree 4 as the products that raised its rank
+        w = distinguished_w(5, 3)
+        whole, span = invariant_ring._whole_piece, invariant_ring._generated_span
+        pieces = []  # the generated pieces each degree's span is built from
+
+        def half_of_r2(basis):
+            return whole(basis)[::2] if basis.k == 2 else whole(basis)
+
+        def recording(generated, bases, d, seed):
+            pieces.append(dict(generated))
+            return span(generated, bases, d, seed)
+
+        monkeypatch.setattr(invariant_ring, "_whole_piece", half_of_r2)
+        monkeypatch.setattr(invariant_ring, "_generated_span", recording)
+        reports = generation_degree_probe(w, 4)
+        assert [(r.dim_generated, r.dim_graded_piece) for r in reports] == [(28, 40), (70, 85)]
+        bases = {d: invariant_basis(w, d) for d in (1, 2, 3, 4)}
+        half = bases[2].monomials[::2]
+        r1, r2 = bases[1].monomials, bases[2].monomials
+
+        def straightened(d, *factors):
+            poly = PluckerPolynomial.monomial(factors[0], w.n)
+            for rows in factors[1:]:
+                poly = poly * PluckerPolynomial.monomial(rows, w.n)
+            vec = [0] * len(bases[d])
+            for rows, c in straighten(poly, w).terms.items():
+                vec[bases[d].position(rows)] = c
+            return vec
+
+        # T_3 is carried as the 28 products a.x that raised the rank
+        carried = []
+        for element in pieces[1][3]:
+            vec = [0] * len(bases[3])
+            for c, rows in element:
+                vec[bases[3].position(rows)] = c
+            carried.append(vec)
+        products = [straightened(3, a, x) for a in half for x in r1]
+        assert len(carried) == fraction_rank(carried) == 28
+        assert all(vec in products for vec in carried)
+        # T_4 = T_3.R_1 + T_2.R_2 against every product a.x.y and a.z
+        products = [straightened(4, a, x, y) for a in half for x in r1 for y in r1]
+        products += [straightened(4, a, z) for a in half for z in r2]
+        assert len(products) == 328
+        assert fraction_rank(products) == 70
+
     @pytest.mark.skipif(not HEAVY, reason="straightens in a B = 112 cell; set SCHUBERT_SMT_HEAVY=1")
     def test_generation_where_standard_products_fall_short(self, straightened_products):
         # 109 of the 112 degree-three basis elements are standard products
@@ -404,9 +455,6 @@ class TestAlgebraicIndependence:
         # the four degree-one classes below the fourth representative are
         # algebraically independent: their degree-k products span a space
         # of the same dimension as in a polynomial ring on four variables
-        from schubert_smt.linalg import IntRowSpan
-        from schubert_smt.plucker import straighten
-
         w4 = distinguished_w(4, 3)
         target = invariant_basis(w4, k)
         gens = [rows for rows in build_generators(3).deg1 if rows_are_standard(rows, w4.values)]

@@ -1,11 +1,12 @@
 """The integer kernel against plain rational elimination.
 
 Every property compares `schubert_smt.linalg` with the `Fraction`
-oracles in `helpers`, on integer matrices with at most 12 rows and at
-most 8 columns (up to 38 rows when zero, repeated and dependent rows
-are mixed in); the 3 x 3 to 5 x 5 determinants also on entries up to
-10**6 in size.  The solver reads rows only up to full column rank, so
-its results are compared with the oracles on the rows it read.
+oracles in `helpers`, or the row span with the solver, on integer
+matrices with at most 12 rows and at most 8 columns (up to 38 rows when
+zero, repeated and dependent rows are mixed in); the 3 x 3 to 5 x 5
+determinants also on entries up to 10**6 in size.  The solver reads rows
+only up to full column rank, so its results are compared with the
+oracles on the rows it read.
 """
 
 from fractions import Fraction
@@ -289,6 +290,27 @@ class TestIntRowSpan:
             assert span.contains(vec) == in_span
         assert span.contains(combination)
 
+    @PROPERTY
+    @given(low_rank() | padded())
+    def test_rows_are_a_basis_of_added_vectors(self, rows):
+        span = IntRowSpan(len(rows[0]))
+        gains = [span.add(row) for row in rows]
+        basis = span.rows()
+        # the vectors that raised the rank, in the order added
+        assert basis == [row for row, gain in zip(rows, gains) if gain]
+        assert len(basis) == span.rank == fraction_rank(basis) == fraction_rank(rows)
+        assert all(span.contains(row) for row in rows)
+
+    @PROPERTY
+    @given(low_rank() | padded() | full_column_rank())
+    def test_rank_matches_the_solver(self, rows):
+        span = IntRowSpan(len(rows[0]))
+        for row in rows:
+            span.add(row)
+        assert span.rank == GaussSolver(len(rows[0]), rows).rank
+
     def test_rejects_wrong_width(self):
         with pytest.raises(ValueError):
             IntRowSpan(3).add([1, 2])
+        with pytest.raises(ValueError):
+            IntRowSpan(3).contains([1, 2, 3, 4])

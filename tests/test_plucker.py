@@ -26,6 +26,7 @@ from schubert_smt.plucker import (
     MinorTable,
     StraighteningError,
     monomial_content,
+    normalize_monomial,
     rows_are_standard,
     sample_generator,
     value_at,
@@ -77,6 +78,16 @@ class TestNormalizeIndex:
                 if vals[i] > vals[j]
             )
             assert sign == (-1) ** inv
+
+
+class TestNormalizeMonomial:
+    @pytest.mark.parametrize("rows", [[[1, 1], [7, 8]], [[7, 8], [1, 1]]])
+    def test_out_of_range_row_is_rejected_in_any_order(self, rows):
+        # a row with a repeated value does not hide the rows after it
+        with pytest.raises(ValueError, match=r"values \[7, 8\] out of range 1\.\.4"):
+            normalize_monomial(rows, 4)
+        with pytest.raises(ValueError):
+            PluckerPolynomial.from_raw_rows(rows, 4)
 
 
 class TestPolynomialArithmetic:
