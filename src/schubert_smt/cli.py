@@ -7,6 +7,11 @@ or all checks passed, 1 verification failure, 2 usage or input error
 (a DocumentError or any other ValueError), 3 internal error (any other
 exception).  The subcommands raise; `main` alone maps an exception to
 its exit code.
+
+Every call is a fresh process, often without `__pycache__`, so it
+compiles what it imports.  `invariant_ring` and `verifier` are therefore
+imported inside the handlers that call them: `straighten` and
+`basis --all` load neither, and `probe` loads no `verifier`.
 """
 
 import argparse
@@ -14,15 +19,10 @@ import json
 import sys
 from functools import lru_cache
 
-from .invariant_ring import (
-    generation_degree_probe,
-    invariant_basis,
-    normality_probe,
-)
+from . import CASE_NAMES
 from .lattice import IndexTuple
 from .plucker import PluckerPolynomial, normalize_monomial, straighten
 from .tableaux import enumerate_standard
-from .verifier import CASE_NAMES, run_cases
 
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
@@ -38,14 +38,26 @@ def _is_json_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _coefficient(value) -> int:
+    """A JSON integer, or a string of ASCII digits with an optional leading '-'."""
+    if _is_json_int(value):
+        return value
+    digits = value[1:] if isinstance(value, str) and value.startswith("-") else value
+    if not (isinstance(digits, str) and digits.isascii() and digits.isdigit()):
+        raise ValueError(f"coefficient {value!r} is not an integer or a decimal string")
+    return int(value)
+
+
 def load_polynomial_document(doc: dict) -> PluckerPolynomial:
     """Parse {"r", "n", "terms": [{"coeff", "monomial"}]}; rows may arrive
     unsorted and are sign-normalised on load.
 
-    r and n are JSON integers with 1 <= r <= n, and a monomial is a
-    nonempty list of rows, each a list of r JSON integers (no bool, no
-    float).  The written terms must all have one degree, whatever their
-    order and even if some cancel.  Anything else raises DocumentError.
+    r and n are JSON integers with 1 <= r <= n, a coefficient is a JSON
+    integer or a string of ASCII digits with an optional leading '-', and
+    a monomial is a nonempty list of rows, each a list of r JSON integers
+    (no bool, no float).  The written terms must all have one degree,
+    whatever their order and even if some cancel.  Anything else raises
+    DocumentError.
     """
     try:
         r, n, terms = doc["r"], doc["n"], doc["terms"]
@@ -59,7 +71,7 @@ def load_polynomial_document(doc: dict) -> PluckerPolynomial:
     degrees = set()
     for term in terms:
         try:
-            coeff = int(str(term["coeff"]))
+            coeff = _coefficient(term["coeff"])
             rows = term["monomial"]
         except (KeyError, TypeError, ValueError) as exc:
             raise DocumentError(f"malformed term {term!r}: {exc}") from exc
@@ -157,6 +169,8 @@ def _format_monomial(rows) -> str:
 def _cmd_basis(args) -> int:
     w = _parse_w(args.w, args.n2n)
     if args.invariant:
+        from .invariant_ring import invariant_basis
+
         monomials = invariant_basis(w, args.k).monomials
     else:
         monomials = enumerate_standard(2 * args.k, w.r, w.n, bound=w)
@@ -174,6 +188,8 @@ def _cmd_basis(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .verifier import run_cases
+
     reports = run_cases(args.case, args.n, seed=args.seed, k_max=args.k_max)
     all_pass = all(r.passed for r in reports)
     payload = {
@@ -191,6 +207,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_probe(args) -> int:
+    from .invariant_ring import generation_degree_probe, normality_probe
+
     w = _parse_w(args.w, args.n2n)
     if args.mode == "normality":
         report = normality_probe(w, args.degree, seed=args.seed)

@@ -105,6 +105,7 @@ def _completion_table(shape_rows: int, r: int, n: int, bound, content) -> dict:
         return entry[0]
 
     completions(0, (0,) * r)
+    del completions  # the closure refers to itself: break the cycle for refcounting
     return table
 
 
@@ -160,5 +161,6 @@ def enumerate_standard(
             walk(v + 1, nxt)
 
     walk(0, (0,) * r)
+    del walk  # as in _completion_table
     results.sort()
     return results

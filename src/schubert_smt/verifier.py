@@ -9,6 +9,7 @@ everything else is compared on the nose.
 
 from math import comb
 
+from . import CASE_NAMES
 from ._record import Record
 from .invariant_ring import hilbert_series, normality_probe
 from .lattice import IndexTuple, distinguished_w, top_element
@@ -407,8 +408,6 @@ def verify_minimal_cases(seed: int = 0) -> VerificationReport:
 
 
 # -- case registry for the CLI -------------------------------------------
-
-CASE_NAMES = ("lemma", "appendix", "theorem", "proposition", "remarks")
 
 
 def run_cases(case: str, n: int, seed: int = 0, k_max: int = 3) -> list[VerificationReport]:

@@ -80,6 +80,10 @@ def _doc(monomial, r=3, n=6):
     return {"r": r, "n": n, "terms": [{"coeff": "1", "monomial": monomial}]}
 
 
+def _coeff_doc(coeff):
+    return {"r": 2, "n": 4, "terms": [{"coeff": coeff, "monomial": [[1, 4], [2, 3]]}]}
+
+
 MALFORMED_DOCS = {
     "monomial_is_int": _doc(5),
     "row_is_int": _doc([5]),
@@ -92,6 +96,15 @@ MALFORMED_DOCS = {
     "r_above_n": _doc([[1, 2, 3]], n=2),
     "r_is_bool": _doc([[1]], r=True),
     "n_is_float": _doc([[1, 2, 3]], n=6.0),
+    # a coefficient is a JSON integer or ASCII digits after an optional '-'
+    "coeff_with_underscore": _coeff_doc("1_000"),
+    "coeff_with_spaces": _coeff_doc(" 7 "),
+    "coeff_in_arabic_indic_digits": _coeff_doc("\u0663"),
+    "coeff_with_plus": _coeff_doc("+7"),
+    "coeff_bare_minus": _coeff_doc("-"),
+    "coeff_empty": _coeff_doc(""),
+    "coeff_is_float": _coeff_doc(1.0),
+    "coeff_is_bool": _coeff_doc(True),
 }
 
 
@@ -133,6 +146,11 @@ class TestMalformedDocuments:
         code, out, err = run_cli(capsys, ["straighten", "--input", path, "--json"])
         assert code == EXIT_USAGE and out == ""
         assert err == "error: values [7, 8] out of range 1..4\n"
+
+    @pytest.mark.parametrize("coeff", [-3, "-3", "-003"])
+    def test_integer_and_decimal_string_coefficients_load_alike(self, coeff):
+        poly = load_polynomial_document(_coeff_doc(coeff))
+        assert poly == PluckerPolynomial.monomial(((1, 4), (2, 3)), 4, -3)
 
     def test_well_formed_neighbour_loads(self):
         poly = load_polynomial_document(_doc([[3, 2, 1], [4, 5, 6]]))

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 
@@ -252,3 +253,23 @@ class TestEnumerateStandard:
             count_standard(0, 2, 4)
         with pytest.raises(ValueError):
             count_standard(2, 2, 4, bound=make_index_tuple((1, 2, 3), 6))
+
+    def test_calls_leave_no_reference_cycles(self):
+        # the recursive walks drop their self-references before returning,
+        # so a call's tables are freed by reference counting alone
+        w = distinguished_w(5, 4)
+        calls = [
+            lambda: enumerate_standard(2, 4, 8, bound=w, content=(1,) * 8),
+            lambda: count_standard(2, 4, 8, bound=w, content=(1,) * 8),
+            lambda: enumerate_standard(3, 2, 5),
+        ]
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            gc.collect()
+            for call in calls:
+                call()
+                assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()

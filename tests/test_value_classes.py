@@ -163,3 +163,93 @@ def test_importing_the_cli_loads_no_dataclasses():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     ).stdout
     assert out.strip() == ""
+
+
+# The modules every command runs are imported with the package; the
+# names of `invariant_ring` and `verifier` load on first use, and each
+# CLI handler imports what it calls, so no call compiles a module it
+# does not run.
+
+PROBE_ARGV = ["probe", "--w", "4,5,6", "--n2n", "6", "--mode", "generation", "--k-max", "3"]
+STRAIGHTEN_DOC = '{"r": 2, "n": 4, "terms": [{"coeff": "1", "monomial": [[1, 4], [2, 3]]}]}'
+LAZY_MODULES = ("schubert_smt.invariant_ring", "schubert_smt.verifier")
+
+
+def _python(*args, stdin=None):
+    src = str(Path(schubert_smt.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    return subprocess.run(
+        [sys.executable, *args], env=env, input=stdin, capture_output=True, text=True
+    )
+
+
+def _cli_imports(argv, stdin=None) -> set[str]:
+    """The modules that `python -m schubert_smt.cli ARGV` imports."""
+    done = _python("-X", "importtime", "-m", "schubert_smt.cli", *argv, stdin=stdin)
+    assert done.returncode == 0, done.stderr
+    lines = [line for line in done.stderr.splitlines() if line.startswith("import time:")]
+    return {line.rsplit("|", 1)[1].strip() for line in lines}
+
+
+def test_probe_loads_no_verifier():
+    imported = _cli_imports(PROBE_ARGV)
+    assert "schubert_smt.invariant_ring" in imported
+    assert "schubert_smt.verifier" not in imported
+
+
+def test_straighten_loads_neither_invariant_ring_nor_verifier():
+    imported = _cli_imports(["straighten", "--json"], stdin=STRAIGHTEN_DOC)
+    assert "schubert_smt.plucker" in imported
+    assert not imported & set(LAZY_MODULES)
+
+
+def test_importing_the_package_loads_neither_invariant_ring_nor_verifier():
+    code = f"import sys, schubert_smt; print([m for m in {LAZY_MODULES!r} if m in sys.modules])"
+    done = _python("-c", code)
+    assert (done.returncode, done.stdout.strip()) == (0, "[]"), done.stderr
+
+
+def test_every_public_name_resolves_to_its_definition():
+    # in a fresh process, so each lazy name goes through the module __getattr__
+    # values without a __module__ of their own are named by hand
+    code = (
+        "import sys, schubert_smt\n"
+        "homes = {'CASE_NAMES': 'schubert_smt', 'WeightVector': 'schubert_smt.lattice'}\n"
+        "for name in schubert_smt.__all__:\n"
+        "    value = getattr(schubert_smt, name)\n"
+        "    home = sys.modules[homes.get(name) or value.__module__]\n"
+        "    assert vars(home)[name] is value, name\n"
+        "print(len(schubert_smt.__all__), len(set(schubert_smt.__all__)))\n"
+    )
+    done = _python("-c", code)
+    assert done.returncode == 0, done.stderr
+    total, distinct = map(int, done.stdout.split())
+    assert total == distinct
+    for name in ("run_cases", "invariant_basis", "GradedPieceBasis", "CASE_NAMES", "straighten"):
+        assert name in schubert_smt.__all__
+
+
+def test_star_import_binds_every_public_name():
+    code = (
+        "import schubert_smt\n"
+        "namespace = {}\n"
+        "exec('from schubert_smt import *', namespace)\n"
+        "missing = [n for n in schubert_smt.__all__ if namespace.get(n) is not getattr(schubert_smt, n)]\n"
+        "print(missing)\n"
+    )
+    done = _python("-c", code)
+    assert (done.returncode, done.stdout.strip()) == (0, "[]"), done.stderr
+
+
+def test_unknown_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        schubert_smt.no_such_name
+    assert not hasattr(schubert_smt, "verify_everything")
+
+
+def test_verify_case_choices_need_no_verifier():
+    done = _python("-m", "schubert_smt.cli", "verify", "--case", "bogus")
+    assert done.returncode == 2 and "invalid choice" in done.stderr
+    done = _python("-m", "schubert_smt.cli", "verify", "--help")
+    assert done.returncode == 0
+    assert "{lemma,appendix,theorem,proposition,remarks,all}" in done.stdout
