@@ -17,7 +17,6 @@ from .lattice import (
     is_dominance_nonpositive,
     leq_componentwise,
     line_bundle_descends,
-    make_index_tuple,
     minimal_semistable_w,
     top_element,
 )
@@ -39,7 +38,6 @@ from .plucker import (
     restrict,
     sample_generator,
     straighten,
-    two_row_exchange,
 )
 
 __version__ = "0.1.0"

@@ -286,6 +286,8 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):  # lift the 4300-digit int<->str limit
+        sys.set_int_max_str_digits(0)
     try:
         args = _parser().parse_args(argv)
     except SystemExit as exc:

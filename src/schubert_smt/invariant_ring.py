@@ -104,20 +104,16 @@ class GenerationReport(Record):
 
 
 class SemistableReport(Record):
-    __slots__ = ("w", "found", "witness", "degree", "cap")
+    __slots__ = ("w", "found", "witness")
     w: IndexTuple
     found: bool
     witness: Monomial | None
-    degree: int | None
-    cap: int
 
     def to_dict(self) -> dict:
         return {
             "w": list(self.w.values),
             "found": self.found,
             "witness": None if self.witness is None else [list(row) for row in self.witness],
-            "degree": self.degree,
-            "cap": self.cap,
         }
 
 
@@ -334,14 +330,14 @@ def hilbert_series(w: IndexTuple, k_max: int) -> list[int]:
     ]
 
 
-def semistable_nonempty(w: IndexTuple, cap: int = 2) -> SemistableReport:
-    """Constructive semistability certificate: a nonzero invariant section
-    of degree <= cap, when one exists.  A negative answer is only
-    'empty up to the cap', not a proof of emptiness."""
-    for k in range(1, cap + 1):
-        basis = invariant_basis(w, k)
-        if len(basis):
-            return SemistableReport(
-                w=w, found=True, witness=basis.monomials[0], degree=k, cap=cap
-            )
-    return SemistableReport(w=w, found=False, witness=None, degree=None, cap=cap)
+def semistable_nonempty(w: IndexTuple) -> SemistableReport:
+    """Whether X(w), w in I(n, 2n), has semistable points, with the first
+    degree-one invariant as the witness.  Degree one decides: restriction
+    maps R_1(X(w)) onto R_1(X(u)) for u <= w (the basis of R_1(X(u)) is
+    part of that of R_1(X(w)), the rest vanishes), R_1(X(2, 4, ..., 2n)) holds
+    p(1, 3, ..., 2n-1) p(2, 4, ..., 2n), and X(w) has semistable points
+    exactly when w >= (2, 4, ..., 2n), the weight criterion that
+    `minimal_semistable_w` scans.  So R_1(X(w)) != 0 for such w, and for
+    any other w no invariant of positive degree is nonzero on X(w)."""
+    witness = next(iter(invariant_basis(w, 1)), None)
+    return SemistableReport(w=w, found=witness is not None, witness=witness)

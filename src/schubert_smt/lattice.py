@@ -59,11 +59,6 @@ class IndexTuple(Record):
         return "(" + ",".join(map(str, self.values)) + ")"
 
 
-def make_index_tuple(values, n: int) -> IndexTuple:
-    """Validated constructor; raises ValueError on malformed input."""
-    return IndexTuple(tuple(values), int(n))
-
-
 def top_element(r: int, n: int) -> IndexTuple:
     """The maximal element (n-r+1, ..., n) of the quotient order."""
     return IndexTuple(tuple(range(n - r + 1, n + 1)), n)

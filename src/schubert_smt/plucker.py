@@ -16,8 +16,7 @@ numerators over one common denominator, which must divide them all),
 and check the result exactly at every sample point.  The Grassmannian
 itself is the top Schubert variety X(n-r+1, ..., n), so every cell
 samples Schubert points.  Chained exchange-relation rewriting is
-deliberately avoided; the two-row exchange relation is still available
-as a relation generator.
+deliberately avoided.
 """
 
 import random
@@ -136,21 +135,6 @@ class PluckerPolynomial:
         r = len(rows[0]) if rows else 0
         return cls(r, n, {rows: coeff})
 
-    @classmethod
-    def scalar(cls, value: int, r: int, n: int) -> "PluckerPolynomial":
-        return cls(r, n, {(): value})
-
-    @classmethod
-    def from_raw_rows(cls, rows, n: int, coeff: int = 1) -> "PluckerPolynomial":
-        """Monomial from possibly unsorted rows, with sign normalisation.
-
-        A row with a repeated index kills the whole monomial.
-        """
-        rows = [tuple(row) for row in rows]
-        sign, key = normalize_monomial(rows, n)
-        r = len(rows[0]) if rows else 0
-        return cls(r, n, {key: sign * coeff} if sign else {})
-
     # -- basic queries ------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -161,10 +145,6 @@ class PluckerPolynomial:
         for rows in self.terms:
             return len(rows)
         return None
-
-    def coefficient(self, rows) -> int:
-        key = tuple(sorted(tuple(int(v) for v in row) for row in rows))
-        return self.terms.get(key, 0)
 
     # -- ring structure -----------------------------------------------
 
@@ -213,9 +193,6 @@ class PluckerPolynomial:
             and self.terms == other.terms
         )
 
-    def __hash__(self):
-        return hash((self.r, self.n, tuple(sorted(self.terms.items()))))
-
     def __str__(self):
         if self.is_zero():
             return "0"
@@ -261,27 +238,6 @@ def plucker_relation(i_set, j_set, r: int, n: int) -> PluckerPolynomial:
         rows = tuple(sorted((first, second)))
         terms[rows] = terms.get(rows, 0) + sign_h * s
     return PluckerPolynomial(r, n, terms)
-
-
-def two_row_exchange(sigma: IndexTuple, tau: IndexTuple, t: int) -> PluckerPolynomial:
-    """Exchange relation for a chain violation of sigma <= tau at position t.
-
-    Takes i_set = sigma without its t-th entry and j_set = tau with
-    sigma_t inserted; the resulting relation contains +-p_sigma p_tau.
-    """
-    if sigma.r != tau.r or sigma.n != tau.n:
-        raise ValueError("rows live on different Grassmannians")
-    r, n = sigma.r, sigma.n
-    if not 1 <= t <= r:
-        raise ValueError(f"position {t} out of range 1..{r}")
-    if sigma.values[t - 1] <= tau.values[t - 1]:
-        raise ValueError(f"no chain violation at position {t}")
-    moved = sigma.values[t - 1]
-    if moved in tau.values:
-        raise ValueError(f"value {moved} already occurs in {tau}; no exchange relation")
-    i_set = sigma.values[:t - 1] + sigma.values[t:]
-    j_set = tuple(sorted(tau.values + (moved,)))
-    return plucker_relation(i_set, j_set, r, n)
 
 
 # -- evaluation oracle -------------------------------------------------

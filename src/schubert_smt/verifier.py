@@ -411,7 +411,8 @@ def verify_minimal_cases(seed: int = 0) -> VerificationReport:
 
 
 def run_cases(case: str, n: int, seed: int = 0, k_max: int = 3) -> list[VerificationReport]:
-    """Run one named case or all of them, in canonical order; all reject n < 2."""
+    """Run one named case or all of them, in canonical order.  Every case
+    rejects n < 2, and all but `theorem` and `remarks` (so `all`) n = 2."""
     jobs = {
         "lemma": lambda: verify_product_relation(n, seed=seed),
         "appendix": lambda: verify_exchange_identities(n, seed=seed),

@@ -157,6 +157,41 @@ class TestMalformedDocuments:
         assert poly == PluckerPolynomial.monomial(((1, 2, 3), (4, 5, 6)), 6, -1)
 
 
+class TestBigCoefficients:
+    """Coefficients past the interpreter's default 4300-digit limit on
+    int <-> str conversion load, straighten and save exactly.  The
+    documents are written as text, so no conversion happens in the test."""
+
+    @staticmethod
+    def straighten_json(tmp_path, capsys, terms):
+        path = tmp_path / "big.json"
+        path.write_text('{"r": 2, "n": 4, "terms": [' + ", ".join(
+            f'{{"coeff": {coeff}, "monomial": {monomial}}}' for coeff, monomial in terms
+        ) + "]}")
+        code, out, err = run_cli(capsys, ["straighten", "--input", str(path), "--json"])
+        assert code == EXIT_OK, err
+        return json.loads(out)["terms"]
+
+    @pytest.mark.parametrize("quoted", [True, False], ids=["string", "json-integer"])
+    def test_5000_digits_load_and_save(self, tmp_path, capsys, quoted):
+        digits = "7" * 5000
+        coeff = f'"{digits}"' if quoted else digits
+        terms = self.straighten_json(tmp_path, capsys, [(coeff, "[[1, 2], [3, 4]]")])
+        assert terms == [{"coeff": digits, "monomial": [[1, 2], [3, 4]]}]
+
+    def test_straightening_carries_to_4301_digits(self, tmp_path, capsys):
+        # p14 p23 = p13 p24 - p12 p34, so c.p14 p23 + c.p13 p24 has a
+        # coefficient 2c, one digit longer than c
+        c = "9" * 4300
+        terms = self.straighten_json(
+            tmp_path, capsys, [(f'"{c}"', "[[1, 4], [2, 3]]"), (f'"{c}"', "[[1, 3], [2, 4]]")]
+        )
+        assert terms == [
+            {"coeff": "-" + c, "monomial": [[1, 2], [3, 4]]},
+            {"coeff": "1" + "9" * 4299 + "8", "monomial": [[1, 3], [2, 4]]},
+        ]
+
+
 class TestStraightenCommand:
     def test_three_term_rewrite(self, tmp_path, capsys):
         path = write_doc(tmp_path, VIOLATING_DOC)

@@ -14,7 +14,8 @@ from schubert_smt import (
     generation_degree_probe,
     hilbert_series,
     invariant_basis,
-    make_index_tuple,
+    leq_componentwise,
+    minimal_semistable_w,
     monomial_content,
     multiply_to_coordinates,
     normality_probe,
@@ -38,7 +39,7 @@ from helpers import (
 )
 
 HEAVY = bool(os.environ.get("SCHUBERT_SMT_HEAVY"))
-I36 = [make_index_tuple(v, 6) for v in itertools.combinations(range(1, 7), 3)]
+I36 = [IndexTuple(v, 6) for v in itertools.combinations(range(1, 7), 3)]
 
 
 def count_index_tuples(monkeypatch):
@@ -97,13 +98,13 @@ class TestInvariantBasis:
         with pytest.raises(ValueError):
             invariant_basis(distinguished_w(5, 3), 0)
         with pytest.raises(ValueError):
-            invariant_basis(make_index_tuple((2, 3), 5), 1)
+            invariant_basis(IndexTuple((2, 3), 5), 1)
 
     @pytest.mark.parametrize("r", [3, 4])
     def test_position_is_the_enumeration_index(self, r):
         n = 2 * r
         for values in itertools.combinations(range(1, n + 1), r):
-            w = make_index_tuple(values, n)
+            w = IndexTuple(values, n)
             for k in (1, 2):
                 basis = invariant_basis(w, k)
                 listed = enumerate_standard(2 * k, r, n, bound=w, content=(k,) * n)
@@ -248,7 +249,7 @@ class TestNormalityProbe:
         # at seed 0 the probe's B = 30 cell is rank-deficient at B + 8
         # points and grows
         cells = recording_cells(monkeypatch)
-        report = normality_probe(make_index_tuple((3, 5, 6, 9, 10, 12), 12), 2)
+        report = normality_probe(IndexTuple((3, 5, 6, 9, 10, 12), 12), 2)
         assert any(len(cell.basis) == 30 and grew(cell) for cell in cells)
         assert report.spanned
         assert report.dim_lower_products == report.dim_graded_piece == 30
@@ -260,7 +261,7 @@ class TestNormalityProbe:
     def test_corollary_sample_above_the_obstructed_variety(self):
         # containment forces the same obstruction on larger varieties;
         # exercise one strict superset at n=4
-        w = make_index_tuple((3, 6, 7, 8), 8)
+        w = IndexTuple((3, 6, 7, 8), 8)
         report = normality_probe(w, 2)
         assert not report.spanned
         assert set(build_generators(4).deg2) <= set(report.cokernel_witnesses)
@@ -353,7 +354,7 @@ class TestSpanProbesMatchTheReference:
 
     @pytest.mark.parametrize(
         "w",
-        I36 + [distinguished_w(5, 4), make_index_tuple((3, 6, 7, 8), 8)],
+        I36 + [distinguished_w(5, 4), IndexTuple((3, 6, 7, 8), 8)],
         ids=lambda w: "".join(map(str, w.values)),
     )
     def test_normality_in_degree_two(self, w):
@@ -429,7 +430,7 @@ class TestSpanProbesMatchTheReference:
     @pytest.mark.skipif(not HEAVY, reason="straightens in a B = 112 cell; set SCHUBERT_SMT_HEAVY=1")
     def test_generation_where_standard_products_fall_short(self, straightened_products):
         # 109 of the 112 degree-three basis elements are standard products
-        reports = generation_degree_probe(make_index_tuple((3, 5, 7, 8), 8), 3)
+        reports = generation_degree_probe(IndexTuple((3, 5, 7, 8), 8), 3)
         assert [(r.dim_generated, r.dim_graded_piece) for r in reports] == [(112, 112)]
         assert straightened_products
 
@@ -476,18 +477,18 @@ class TestAlgebraicIndependence:
 class TestSemistableNonempty:
     def test_minimal_representative_has_a_degree_one_witness(self):
         report = semistable_nonempty(distinguished_w(1, 3))
-        assert report.found and report.degree == 1
+        assert report.found
         assert report.witness == ((1, 3, 5), (2, 4, 6))
 
-    def test_content_obstructed_variety_is_empty_at_cap(self):
-        report = semistable_nonempty(make_index_tuple((1, 2, 3), 6))
-        assert not report.found
-        assert report.witness is None and report.cap == 2
+    def test_content_obstructed_variety_is_empty(self):
+        report = semistable_nonempty(IndexTuple((1, 2, 3), 6))
+        assert not report.found and report.witness is None
+        assert report.to_dict() == {"w": [1, 2, 3], "found": False, "witness": None}
 
     def test_big_variety_at_rank_four(self):
         w = distinguished_w(5, 4)
         report = semistable_nonempty(w)
-        assert report.found and report.degree == 1
+        assert report.found
         assert rows_are_standard(report.witness, w.values)
         assert monomial_content(report.witness, 8) == (1,) * 8
         assert report.witness in build_generators(4).deg1
@@ -496,3 +497,17 @@ class TestSemistableNonempty:
         for n in (3, 4):
             for i in range(1, 6):
                 assert semistable_nonempty(distinguished_w(i, n)).found
+
+    def test_degree_one_agrees_with_the_weight_criterion(self):
+        # every w in I(n, 2n): semistable exactly when w >= (2, 4, ..., 2n),
+        # and the semistable elements are counted by the Catalan numbers
+        for n, catalan in zip(range(2, 7), (2, 5, 14, 42, 132)):
+            minimal, hits = minimal_semistable_w(n)
+            assert minimal.values == tuple(range(2, 2 * n + 1, 2))
+            found = 0
+            for values in itertools.combinations(range(1, 2 * n + 1), n):
+                w = IndexTuple(values, 2 * n)
+                semistable = semistable_nonempty(w).found
+                assert semistable == (w in hits) == leq_componentwise(minimal, w)
+                found += semistable
+            assert found == len(hits) == catalan

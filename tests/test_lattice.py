@@ -4,12 +4,12 @@ import random
 import pytest
 
 from schubert_smt import (
+    IndexTuple,
     apply_coset_to_weight,
     distinguished_w,
     is_dominance_nonpositive,
     leq_componentwise,
     line_bundle_descends,
-    make_index_tuple,
     minimal_semistable_w,
     top_element,
 )
@@ -20,44 +20,44 @@ from helpers import apply_simple_reflection
 
 class TestMakeIndexTuple:
     def test_well_formed(self):
-        t = make_index_tuple([1, 3, 5], 6)
+        t = IndexTuple([1, 3, 5], 6)
         assert t.values == (1, 3, 5)
         assert t.r == 3 and t.n == 6
 
     def test_rejects_not_increasing(self):
         with pytest.raises(ValueError):
-            make_index_tuple([3, 1], 6)
+            IndexTuple([3, 1], 6)
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
-            make_index_tuple([0, 2], 4)
+            IndexTuple([0, 2], 4)
         with pytest.raises(ValueError):
-            make_index_tuple([2, 7], 6)
+            IndexTuple([2, 7], 6)
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            make_index_tuple([], 4)
+            IndexTuple([], 4)
 
     def test_matches_minimal_representative(self):
-        assert make_index_tuple([2, 4, 6], 6).values == distinguished_w(1, 3).values
+        assert IndexTuple([2, 4, 6], 6).values == distinguished_w(1, 3).values
 
 
 class TestComponentwiseOrder:
     def test_examples(self):
-        a = make_index_tuple((1, 3, 5), 6)
-        b = make_index_tuple((2, 4, 6), 6)
+        a = IndexTuple((1, 3, 5), 6)
+        b = IndexTuple((2, 4, 6), 6)
         assert leq_componentwise(a, b)
         assert not leq_componentwise(
-            make_index_tuple((1, 4), 6), make_index_tuple((2, 3), 6)
+            IndexTuple((1, 4), 6), IndexTuple((2, 3), 6)
         )
         assert leq_componentwise(distinguished_w(1, 3), distinguished_w(5, 3))
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            leq_componentwise(make_index_tuple((1, 2), 4), make_index_tuple((1, 2, 3), 6))
+            leq_componentwise(IndexTuple((1, 2), 4), IndexTuple((1, 2, 3), 6))
 
     def test_partial_order_axioms_on_i36(self):
-        elems = [make_index_tuple(v, 6) for v in itertools.combinations(range(1, 7), 3)]
+        elems = [IndexTuple(v, 6) for v in itertools.combinations(range(1, 7), 3)]
         assert len(elems) == 20
         for a in elems:
             assert leq_componentwise(a, a)
@@ -118,32 +118,32 @@ class TestDistinguishedW:
 
 class TestWeightAction:
     def test_identity_acts_trivially(self):
-        ident = make_index_tuple((1, 2, 3), 6)
+        ident = IndexTuple((1, 2, 3), 6)
         lam = (3, -1, 0, 2, -4, 0)
         assert apply_coset_to_weight(ident, lam) == lam
 
     def test_doubled_weight_examples(self):
         lam = fundamental_weight_multiple(2, 3, 6)
         assert lam == (1, 1, 1, -1, -1, -1)
-        assert apply_coset_to_weight(make_index_tuple((2, 4, 6), 6), lam) == (-1, 1, -1, 1, -1, 1)
-        assert apply_coset_to_weight(make_index_tuple((4, 5, 6), 6), lam) == (-1, -1, -1, 1, 1, 1)
+        assert apply_coset_to_weight(IndexTuple((2, 4, 6), 6), lam) == (-1, 1, -1, 1, -1, 1)
+        assert apply_coset_to_weight(IndexTuple((4, 5, 6), 6), lam) == (-1, -1, -1, 1, 1, 1)
 
     def test_rejects_rank_mismatch(self):
         with pytest.raises(ValueError):
-            apply_coset_to_weight(make_index_tuple((1, 2), 4), (1, 0, 0, 0, -1))
+            apply_coset_to_weight(IndexTuple((1, 2), 4), (1, 0, 0, 0, -1))
 
     def test_preserves_coordinate_multiset(self):
         rng = random.Random(11)
         for _ in range(200):
             n = rng.randint(2, 8)
             r = rng.randint(1, n)
-            w = make_index_tuple(sorted(rng.sample(range(1, n + 1), r)), n)
+            w = IndexTuple(sorted(rng.sample(range(1, n + 1), r)), n)
             lam = tuple(rng.randint(-4, 4) for _ in range(n))
             out = apply_coset_to_weight(w, lam)
             assert sorted(out) == sorted(lam)
 
     def test_extension_is_a_permutation(self):
-        w = make_index_tuple((2, 5, 6), 6)
+        w = IndexTuple((2, 5, 6), 6)
         assert sorted(extend_to_permutation(w)) == list(range(1, 7))
         assert extend_to_permutation(w)[:3] == (2, 5, 6)
 

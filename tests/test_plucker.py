@@ -6,11 +6,11 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from schubert_smt import (
+    IndexTuple,
     PluckerPolynomial,
     RankDeficientError,
     distinguished_w,
     evaluate,
-    make_index_tuple,
     normalize_index,
     plucker_relation,
     random_point,
@@ -18,7 +18,6 @@ from schubert_smt import (
     restrict,
     straighten,
     top_element,
-    two_row_exchange,
 )
 from schubert_smt import plucker
 from schubert_smt.linalg import GaussSolver
@@ -86,8 +85,12 @@ class TestNormalizeMonomial:
         # a row with a repeated value does not hide the rows after it
         with pytest.raises(ValueError, match=r"values \[7, 8\] out of range 1\.\.4"):
             normalize_monomial(rows, 4)
-        with pytest.raises(ValueError):
-            PluckerPolynomial.from_raw_rows(rows, 4)
+
+    def test_sorts_rows_with_sign(self):
+        assert normalize_monomial([[3, 4], [2, 1]], 4) == (-1, ((1, 2), (3, 4)))
+
+    def test_repeated_value_kills_the_monomial(self):
+        assert normalize_monomial([[1, 1], [3, 4]], 4) == (0, None)
 
 
 class TestPolynomialArithmetic:
@@ -112,18 +115,11 @@ class TestPolynomialArithmetic:
             f + g
 
     def test_scalar_is_degree_zero(self):
-        one = PluckerPolynomial.scalar(1, 2, 4)
+        one = PluckerPolynomial(2, 4, {(): 1})
         assert one.degree == 0
         f = PluckerPolynomial.monomial(((1, 3),), 4, 5)
         assert one * f == f
-        assert PluckerPolynomial.scalar(2, 2, 4) * f == 2 * f
-
-    def test_from_raw_rows_normalizes_with_sign(self):
-        f = PluckerPolynomial.from_raw_rows([[2, 1], [3, 4]], 4)
-        assert f == PluckerPolynomial.monomial(((1, 2), (3, 4)), 4, -1)
-
-    def test_from_raw_rows_kills_repeats(self):
-        assert PluckerPolynomial.from_raw_rows([[1, 1], [3, 4]], 4).is_zero()
+        assert PluckerPolynomial(2, 4, {(): 2}) * f == 2 * f
 
 
 class TestPluckerRelation:
@@ -164,7 +160,7 @@ class TestEvaluate:
 
     def test_scalar_evaluates_to_coefficient(self):
         m = ((1, 0, 0, 0), (0, 1, 0, 0))
-        assert evaluate(PluckerPolynomial.scalar(7, 2, 4), m) == 7
+        assert evaluate(PluckerPolynomial(2, 4, {(): 7}), m) == 7
 
     def test_rejects_dimension_mismatch(self):
         f = PluckerPolynomial.monomial(((1, 2),), 4)
@@ -190,7 +186,7 @@ class TestEvaluate:
 class TestRestrict:
     def test_drops_unbounded_rows(self):
         f = PluckerPolynomial.monomial(((1, 4), (2, 3)), 4)
-        assert restrict(f, make_index_tuple((2, 3), 4)).is_zero()
+        assert restrict(f, IndexTuple((2, 3), 4)).is_zero()
 
     def test_keeps_bounded_terms(self):
         rel = plucker_relation((1, 2), (3, 4, 5, 6), 3, 6)
@@ -199,7 +195,7 @@ class TestRestrict:
 
     def test_big_variety_drops_nothing(self):
         f = PluckerPolynomial.monomial(((1, 4), (2, 3)), 4)
-        assert restrict(f, make_index_tuple((3, 4), 4)) == f
+        assert restrict(f, IndexTuple((3, 4), 4)) == f
 
     def test_w4_kills_the_fifth_generator(self):
         x5 = PluckerPolynomial.monomial(((1, 2, 3), (4, 5, 6)), 6)
@@ -208,12 +204,12 @@ class TestRestrict:
     def test_rejects_shape_mismatch(self):
         f = PluckerPolynomial.monomial(((1, 2),), 4)
         with pytest.raises(ValueError):
-            restrict(f, make_index_tuple((1, 2, 3), 6))
+            restrict(f, IndexTuple((1, 2, 3), 6))
 
 
 class TestRandomSchubertPoint:
     def test_point_variety_supported_on_first_columns(self):
-        w = make_index_tuple((1, 2, 3), 6)
+        w = IndexTuple((1, 2, 3), 6)
         columns = random_schubert_point(w, sample_generator(w, 4))
         assert columns[3:] == ((0, 0, 0),) * 3
         assert MinorTable(columns)[(1, 2, 3)] == 1  # principal block of a unit triangular
@@ -231,7 +227,7 @@ class TestRandomSchubertPoint:
         "w_values", [(2, 4, 6), (3, 4, 6), (2, 5, 6), (4, 5, 6), (1, 2, 3)]
     )
     def test_minors_vanish_above_w(self, w_values):
-        w = make_index_tuple(w_values, 6)
+        w = IndexTuple(w_values, 6)
         for seed in range(2):
             for minors in schubert_points(w, seed, 3):
                 for tau in itertools.combinations(range(1, 7), 3):
@@ -531,7 +527,7 @@ class TestStraighten:
         for n in range(1, 7):
             for r in range(1, min(n, 3) + 1):
                 for w_values in itertools.combinations(range(1, n + 1), r):
-                    w = make_index_tuple(w_values, n)
+                    w = IndexTuple(w_values, n)
                     below = [
                         row
                         for row in itertools.combinations(range(1, n + 1), r)
@@ -660,7 +656,7 @@ def _incomparable_pairs(r):
             if not all(x <= y for x, y in zip(a, b))
         ]
         if pairs:
-            out.append((make_index_tuple(w, n), below, pairs))
+            out.append((IndexTuple(w, n), below, pairs))
     return out
 
 
@@ -738,66 +734,3 @@ class TestSampleStream:
                 assert len(after) == len(before) + plucker.EXTRA_SAMPLES
                 assert all(x is y for x, y in zip(before, after))
 
-
-class TestTwoRowExchange:
-    def test_basic_instance(self):
-        rel = two_row_exchange(
-            make_index_tuple((1, 4), 4), make_index_tuple((2, 3), 4), 2
-        )
-        assert rel.terms == {
-            ((1, 2), (3, 4)): -1,
-            ((1, 3), (2, 4)): 1,
-            ((1, 4), (2, 3)): -1,
-        }
-
-    def test_contains_the_violating_product(self):
-        sigma = make_index_tuple((1, 4, 5), 6)
-        tau = make_index_tuple((2, 3, 6), 6)
-        rel = two_row_exchange(sigma, tau, 2)
-        assert rel.coefficient((sigma.values, tau.values)) in (1, -1)
-
-    def test_rejects_no_violation(self):
-        with pytest.raises(ValueError):
-            two_row_exchange(
-                make_index_tuple((1, 2), 4), make_index_tuple((3, 4), 4), 1
-            )
-
-    def test_rejects_out_of_range_position(self):
-        with pytest.raises(ValueError):
-            two_row_exchange(
-                make_index_tuple((1, 4), 4), make_index_tuple((2, 3), 4), 3
-            )
-
-    def test_rejects_value_already_present(self):
-        with pytest.raises(ValueError):
-            two_row_exchange(
-                make_index_tuple((1, 4, 5), 6), make_index_tuple((2, 3, 4), 6), 2
-            )
-
-    def test_relation_vanishes_identically(self):
-        rng = random.Random(41)
-        sigma = make_index_tuple((1, 4, 5), 6)
-        tau = make_index_tuple((2, 3, 6), 6)
-        rel = two_row_exchange(sigma, tau, 2)
-        for _ in range(50):
-            m = random_matrix(rng, 3, 6)
-            assert evaluate(rel, m) == 0
-
-    def test_first_violation_of_the_star_rows_gives_the_fourth_identity(self):
-        # the violating product behind identity (*) at n=3; the exchange at
-        # the first violated position reproduces the displayed relation
-        sigma = make_index_tuple((1, 4, 5), 6)
-        tau = make_index_tuple((2, 3, 6), 6)
-        rel = two_row_exchange(sigma, tau, 2)
-        restricted = restrict(rel, distinguished_w(5, 3))
-        expected = PluckerPolynomial(
-            3,
-            6,
-            {
-                ((1, 2, 5), (3, 4, 6)): 1,
-                ((1, 3, 5), (2, 4, 6)): -1,
-                ((1, 4, 5), (2, 3, 6)): 1,
-                ((1, 5, 6), (2, 3, 4)): 1,
-            },
-        )
-        assert restricted in (expected, -expected)

@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from schubert_smt import (
+    IndexTuple,
     count_standard,
     distinguished_w,
     enumerate_standard,
     invariant_basis,
-    make_index_tuple,
     monomial_content,
     multiply_to_coordinates,
     rows_are_standard,
@@ -140,7 +140,7 @@ class TestEnumerateStandard:
         assert len(got) == 5
 
     def test_output_is_sorted_tuples_of_increasing_rows(self):
-        got = enumerate_standard(3, 2, 5, bound=make_index_tuple((3, 5), 5))
+        got = enumerate_standard(3, 2, 5, bound=IndexTuple((3, 5), 5))
         assert got == sorted(got)
         for rows in got:
             assert type(rows) is tuple and rows == tuple(sorted(rows))
@@ -178,7 +178,7 @@ class TestEnumerateStandard:
 
     def test_rejects_bad_bound_shape(self):
         with pytest.raises(ValueError):
-            enumerate_standard(2, 2, 4, bound=make_index_tuple((1, 2, 3), 6))
+            enumerate_standard(2, 2, 4, bound=IndexTuple((1, 2, 3), 6))
 
     @pytest.mark.parametrize(
         "shape_rows,r,n,bound,cont",
@@ -194,7 +194,7 @@ class TestEnumerateStandard:
         ],
     )
     def test_matches_brute_force_oracle(self, shape_rows, r, n, bound, cont):
-        bound_it = make_index_tuple(bound, n) if bound else None
+        bound_it = IndexTuple(bound, n) if bound else None
         got = enumerate_standard(shape_rows, r, n, bound=bound_it, content=cont)
         expected = brute_force_standard(shape_rows, r, n, bound=bound, content=cont)
         assert got == expected
@@ -209,7 +209,7 @@ class TestEnumerateStandard:
     @given(enumeration_inputs())
     def test_matches_brute_force_oracle_on_random_inputs(self, args):
         shape_rows, r, n, bound, cont = args
-        bound_it = make_index_tuple(bound, n) if bound else None
+        bound_it = IndexTuple(bound, n) if bound else None
         got = enumerate_standard(shape_rows, r, n, bound=bound_it, content=cont)
         assert got == brute_force_standard(shape_rows, r, n, bound=bound, content=cont)
 
@@ -217,7 +217,7 @@ class TestEnumerateStandard:
     @given(enumeration_inputs())
     def test_count_matches_enumeration_and_oracle_on_random_inputs(self, args):
         shape_rows, r, n, bound, cont = args
-        bound_it = make_index_tuple(bound, n) if bound else None
+        bound_it = IndexTuple(bound, n) if bound else None
         counted = count_standard(shape_rows, r, n, bound=bound_it, content=cont)
         listed = enumerate_standard(shape_rows, r, n, bound=bound_it, content=cont)
         assert counted == len(listed)
@@ -229,7 +229,7 @@ class TestEnumerateStandard:
         # order included, for R_1..R_3 on every X(w) in G(n, 2n), and for
         # the two-row monomials of any content
         for values in itertools.combinations(range(1, 2 * n + 1), n):
-            w = make_index_tuple(values, 2 * n)
+            w = IndexTuple(values, 2 * n)
             got = enumerate_standard(2, n, 2 * n, bound=w)
             assert got == reference_enumerate_standard(2, n, 2 * n, bound=values)
             for k in (1, 2, 3):
@@ -252,7 +252,7 @@ class TestEnumerateStandard:
         with pytest.raises(ValueError):
             count_standard(0, 2, 4)
         with pytest.raises(ValueError):
-            count_standard(2, 2, 4, bound=make_index_tuple((1, 2, 3), 6))
+            count_standard(2, 2, 4, bound=IndexTuple((1, 2, 3), 6))
 
     def test_calls_leave_no_reference_cycles(self):
         # the recursive walks drop their self-references before returning,

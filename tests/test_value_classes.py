@@ -51,9 +51,9 @@ CASES = {
         (3, 40, 39, False),
     ),
     SemistableReport: (
-        ("w", "found", "witness", "degree", "cap"),
-        (W5, True, M1, 1, 2),
-        (W5, False, None, None, 2),
+        ("w", "found", "witness"),
+        (W5, True, M1),
+        (W5, False, None),
     ),
     VerificationReport: (
         ("name", "n", "status", "details", "seed"),
