@@ -286,26 +286,31 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    if hasattr(sys, "set_int_max_str_digits"):  # lift the 4300-digit int<->str limit
-        sys.set_int_max_str_digits(0)
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if limit:
+        sys.set_int_max_str_digits(0)  # lift the 4300-digit int<->str limit for this call only
     try:
-        args = _parser().parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    handlers = {
-        "straighten": _cmd_straighten,
-        "basis": _cmd_basis,
-        "verify": _cmd_verify,
-        "probe": _cmd_probe,
-    }
-    try:
-        return handlers[args.command](args)
-    except ValueError as exc:  # a DocumentError, or an argument the engine rejects
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except Exception as exc:  # keep the exit-code contract for unexpected failures
-        print(f"internal error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+        try:
+            args = _parser().parse_args(argv)
+        except SystemExit as exc:
+            return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
+        handlers = {
+            "straighten": _cmd_straighten,
+            "basis": _cmd_basis,
+            "verify": _cmd_verify,
+            "probe": _cmd_probe,
+        }
+        try:
+            return handlers[args.command](args)
+        except ValueError as exc:  # a DocumentError, or an argument the engine rejects
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+        except Exception as exc:  # keep the exit-code contract for unexpected failures
+            print(f"internal error: {exc}", file=sys.stderr)
+            return EXIT_INTERNAL
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -10,31 +10,29 @@ import time
 from contextlib import contextmanager
 
 
-from schubert_smt import (
-    build_generators,
-    distinguished_w,
-    evaluate,
+from schubert_smt.invariant_ring import (
     generation_degree_probe,
     hilbert_series,
     invariant_basis,
-    minimal_semistable_w,
     normality_probe,
+)
+from schubert_smt.lattice import distinguished_w, leq_componentwise, minimal_semistable_w, top_element
+from schubert_smt.plucker import (
+    PluckerPolynomial,
+    _interpolation_cell,
+    evaluate,
     plucker_relation,
+    random_point,
     restrict,
     straighten,
-    top_element,
+)
+from schubert_smt.tableaux import monomial_content, rows_are_standard
+from schubert_smt.verifier import (
+    _check_quotient_dimensions,
+    build_generators,
     verify_exchange_identities,
     verify_product_relation,
 )
-from schubert_smt.lattice import leq_componentwise
-from schubert_smt.plucker import (
-    PluckerPolynomial,
-    monomial_content,
-    random_point,
-    rows_are_standard,
-    _interpolation_cell,
-)
-from schubert_smt.verifier import _check_quotient_dimensions
 
 
 @contextmanager

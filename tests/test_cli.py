@@ -1,5 +1,6 @@
 import io
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -190,6 +191,16 @@ class TestBigCoefficients:
             {"coeff": "-" + c, "monomial": [[1, 2], [3, 4]]},
             {"coeff": "1" + "9" * 4299 + "8", "monomial": [[1, 3], [2, 4]]},
         ]
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no digit limit")
+    def test_the_caller_keeps_its_digit_limit(self, tmp_path, capsys):
+        before = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            self.test_straightening_carries_to_4301_digits(tmp_path, capsys)
+            assert sys.get_int_max_str_digits() == 4300
+        finally:
+            sys.set_int_max_str_digits(before)
 
 
 class TestStraightenCommand:

@@ -5,28 +5,27 @@ from math import comb
 
 import pytest
 
-from schubert_smt import (
+from schubert_smt import invariant_ring, plucker
+from schubert_smt.invariant_ring import (
     BasisMismatchError,
-    IndexTuple,
-    PluckerPolynomial,
-    distinguished_w,
-    enumerate_standard,
     generation_degree_probe,
     hilbert_series,
     invariant_basis,
-    leq_componentwise,
-    minimal_semistable_w,
-    monomial_content,
     multiply_to_coordinates,
     normality_probe,
-    rows_are_standard,
     semistable_nonempty,
-    straighten,
+)
+from schubert_smt.lattice import (
+    IndexTuple,
+    distinguished_w,
+    leq_componentwise,
+    minimal_semistable_w,
     top_element,
 )
-from schubert_smt import build_generators
-from schubert_smt import invariant_ring, plucker
 from schubert_smt.linalg import IntRowSpan
+from schubert_smt.plucker import PluckerPolynomial, straighten
+from schubert_smt.tableaux import enumerate_standard, monomial_content, rows_are_standard
+from schubert_smt.verifier import build_generators
 
 from helpers import (
     brute_force_standard,
@@ -324,6 +323,19 @@ class TestSpanProbeMechanism:
         reports = generation_degree_probe(distinguished_w(5, 3), 4)
         assert [(r.dim_generated, r.dim_graded_piece) for r in reports] == [(40, 40), (85, 85)]
         assert plucker._interpolation_cell.cache_info().misses == 0
+        assert straightened_products == []
+
+    @pytest.mark.parametrize("values", [(1, 2, 3), (2, 4, 5)])
+    def test_probes_on_an_empty_graded_piece(self, values, straightened_products):
+        # X(w) has no semistable point, so R_d = 0 for every d > 0
+        w = IndexTuple(values, 6)
+        plucker._interpolation_cell.cache_clear()
+        report = normality_probe(w, 2)
+        assert (report.dim_lower_products, report.dim_graded_piece, report.spanned) == (0, 0, True)
+        assert report.cokernel_witnesses == ()
+        assert plucker._interpolation_cell.cache_info().misses == 0
+        reports = generation_degree_probe(w, 4)
+        assert [(r.degree, r.dim_generated, r.dim_graded_piece) for r in reports] == [(3, 0, 0), (4, 0, 0)]
         assert straightened_products == []
 
     @pytest.mark.parametrize("n", [3, 4, 5])

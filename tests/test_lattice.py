@@ -3,17 +3,18 @@ import random
 
 import pytest
 
-from schubert_smt import (
+from schubert_smt.lattice import (
     IndexTuple,
     apply_coset_to_weight,
     distinguished_w,
+    extend_to_permutation,
+    fundamental_weight_multiple,
     is_dominance_nonpositive,
     leq_componentwise,
     line_bundle_descends,
     minimal_semistable_w,
     top_element,
 )
-from schubert_smt.lattice import extend_to_permutation, fundamental_weight_multiple
 
 from helpers import apply_simple_reflection
 

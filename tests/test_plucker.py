@@ -5,31 +5,26 @@ import random
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from schubert_smt import (
-    IndexTuple,
+from schubert_smt import plucker
+from schubert_smt.lattice import IndexTuple, distinguished_w, top_element
+from schubert_smt.linalg import GaussSolver
+from schubert_smt.plucker import (
+    MinorTable,
     PluckerPolynomial,
     RankDeficientError,
-    distinguished_w,
+    StraighteningError,
     evaluate,
     normalize_index,
+    normalize_monomial,
     plucker_relation,
     random_point,
     random_schubert_point,
     restrict,
-    straighten,
-    top_element,
-)
-from schubert_smt import plucker
-from schubert_smt.linalg import GaussSolver
-from schubert_smt.plucker import (
-    MinorTable,
-    StraighteningError,
-    monomial_content,
-    normalize_monomial,
-    rows_are_standard,
     sample_generator,
+    straighten,
     value_at,
 )
+from schubert_smt.tableaux import monomial_content, rows_are_standard
 
 from helpers import (
     fraction_det,

@@ -5,16 +5,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from schubert_smt import (
-    IndexTuple,
+from schubert_smt.invariant_ring import invariant_basis, multiply_to_coordinates
+from schubert_smt.lattice import IndexTuple, distinguished_w, top_element
+from schubert_smt.tableaux import (
     count_standard,
-    distinguished_w,
     enumerate_standard,
-    invariant_basis,
     monomial_content,
-    multiply_to_coordinates,
     rows_are_standard,
-    top_element,
 )
 
 from helpers import brute_force_standard, reference_enumerate_standard

@@ -4,29 +4,27 @@ from importlib import resources
 import pytest
 
 from schubert_smt import invariant_ring, plucker
-from schubert_smt import (
-    PluckerPolynomial,
-    build_generators,
+from schubert_smt.invariant_ring import invariant_basis
+from schubert_smt.lattice import distinguished_w
+from schubert_smt.plucker import PluckerPolynomial, restrict, straighten
+from schubert_smt.tableaux import (
     count_standard,
-    distinguished_w,
     enumerate_standard,
-    invariant_basis,
     monomial_content,
-    nonstandard_degree_one_product,
-    restrict,
     rows_are_standard,
+)
+from schubert_smt.verifier import (
+    _check_quotient_dimensions,
+    build_generators,
+    exchange_instance,
+    generator_combination,
+    nonstandard_degree_one_product,
     run_cases,
-    straighten,
     verify_exchange_identities,
     verify_minimal_cases,
     verify_non_normality,
     verify_product_relation,
     verify_quotient_dimensions,
-)
-from schubert_smt.verifier import (
-    _check_quotient_dimensions,
-    exchange_instance,
-    generator_combination,
 )
 
 
