@@ -147,11 +147,13 @@ def _read_document(path: str):
         raise DocumentError(f"cannot read {source}: {exc}") from exc
     try:
         return json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # the second: nested too deeply
         raise DocumentError(f"invalid JSON: {exc}") from exc
 
 
 def _cmd_straighten(args) -> int:
+    if args.n2n is not None and not args.bound:
+        raise ValueError("--n2n is the ambient rank of --bound, and no --bound is given")
     poly = load_polynomial_document(_read_document(args.input))
     bound = _parse_w(args.bound, args.n2n) if args.bound else None
     result = straighten(poly, bound, seed=args.seed)
@@ -247,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("straighten", help="expand a polynomial document in the standard basis")
     p.add_argument("--input", default="-", help="JSON document path, or - for stdin")
     p.add_argument("--bound", help="Schubert representative, comma separated")
-    p.add_argument("--n2n", type=int, help="ambient rank (default: 2*len for --bound)")
+    p.add_argument("--n2n", type=int, help="ambient rank of --bound, which it needs (default: 2*len)")
     common(p)
 
     p = sub.add_parser("basis", help="enumerate a graded-piece basis")

@@ -103,20 +103,6 @@ class GenerationReport(Record):
         }
 
 
-class SemistableReport(Record):
-    __slots__ = ("w", "found", "witness")
-    w: IndexTuple
-    found: bool
-    witness: Monomial | None
-
-    def to_dict(self) -> dict:
-        return {
-            "w": list(self.w.values),
-            "found": self.found,
-            "witness": None if self.witness is None else [list(row) for row in self.witness],
-        }
-
-
 def invariant_basis(w: IndexTuple, k: int) -> GradedPieceBasis:
     """Basis of the degree-k invariants on X(w): constant content k, 2k rows.
 
@@ -167,8 +153,11 @@ def multiply_to_coordinates(
 Product = list[tuple[int, Monomial, Monomial]]
 
 
-def _span_of_products(products: list[Product], target: GradedPieceBasis, seed) -> IntRowSpan:
-    """Span of the given products in the coordinates of the target R_d.
+def _span_of_products(
+    products: list[Product], target: GradedPieceBasis, seed
+) -> tuple[IntRowSpan, list[list[int]]]:
+    """Span of the given products in the coordinates of the target R_d,
+    and the vectors that raised its rank, in the order read: a basis.
 
     A product of two basis monomials whose merged rows are a standard
     chain below w is itself a basis element (standard monomial theory),
@@ -193,6 +182,7 @@ def _span_of_products(products: list[Product], target: GradedPieceBasis, seed) -
         return vec
 
     span = IntRowSpan(dim)
+    basis = []
     seen: set[tuple[int, ...]] = set()
     deferred = []
     for terms in products:
@@ -208,27 +198,15 @@ def _span_of_products(products: list[Product], target: GradedPieceBasis, seed) -
         key = tuple(vec)
         if key not in seen:
             seen.add(key)
-            span.add(vec)
+            if span.add(vec):
+                basis.append(vec)
     for merged in deferred:
         if span.rank == dim:
             break
-        span.add(vector(merged))
-    return span
-
-
-def _product_span(
-    w: IndexTuple, d: int, target: GradedPieceBasis, seed
-) -> IntRowSpan:
-    """Span of all products R_a . R_b with a + b = d, a, b >= 1."""
-    products = []
-    for a in range(1, d // 2 + 1):
-        b = d - a
-        basis_a = invariant_basis(w, a)
-        basis_b = basis_a if b == a else invariant_basis(w, b)
-        for i, ma in enumerate(basis_a.monomials):
-            start = i if a == b else 0
-            products.extend([(1, ma, mb)] for mb in basis_b.monomials[start:])
-    return _span_of_products(products, target, seed)
+        vec = vector(merged)
+        if span.add(vec):
+            basis.append(vec)
+    return span, basis
 
 
 def normality_probe(w: IndexTuple, d: int, seed=0) -> NormalityReport:
@@ -241,7 +219,15 @@ def normality_probe(w: IndexTuple, d: int, seed=0) -> NormalityReport:
     if d < 2:
         raise ValueError("degree must be >= 2")
     target = invariant_basis(w, d)
-    span = _product_span(w, d, target, seed)
+    products = []  # R_a . R_b for a + b = d, a <= b
+    for a in range(1, d // 2 + 1):
+        b = d - a
+        basis_a = invariant_basis(w, a)
+        basis_b = basis_a if b == a else invariant_basis(w, b)
+        for i, ma in enumerate(basis_a.monomials):
+            start = i if a == b else 0
+            products.extend([(1, ma, mb)] for mb in basis_b.monomials[start:])
+    span, _ = _span_of_products(products, target, seed)
     spanned = span.rank == len(target)
     witnesses = []
     if not spanned:
@@ -271,8 +257,9 @@ def _whole_piece(basis: GradedPieceBasis) -> Piece:
 
 def _generated_span(
     generated: dict[int, Piece], bases: dict[int, GradedPieceBasis], d: int, seed
-) -> IntRowSpan:
-    """Span of T_d = T_{d-1}.R_1 + T_{d-2}.R_2 (the second for d >= 4) in R_d."""
+) -> tuple[IntRowSpan, list[list[int]]]:
+    """Span of T_d = T_{d-1}.R_1 + T_{d-2}.R_2 (the second for d >= 4) in R_d,
+    and a basis of it, as `_span_of_products` returns them."""
     pieces = [(d - 1, 1)] + ([(d - 2, 2)] if d >= 4 else [])
     products = [
         [(c, ma, mb) for c, ma in element]
@@ -290,8 +277,7 @@ def generation_degree_probe(w: IndexTuple, k_max: int, seed=0) -> list[Generatio
     is T_d = T_{d-1}.R_1 + T_{d-2}.R_2, and the report records whether
     it equals R_d.  A piece equal to R_d is carried to the next degree
     as the basis monomials; any other as the products, in coordinates of
-    R_d, that raised the rank of its span (`IntRowSpan.rows`), a basis of
-    T_d.
+    R_d, that raised the rank of its span, a basis of T_d.
     """
     if k_max < 3:
         raise ValueError("k_max must be >= 3")
@@ -300,12 +286,12 @@ def generation_degree_probe(w: IndexTuple, k_max: int, seed=0) -> list[Generatio
     reports = []
     for d in range(3, k_max + 1):
         target = bases[d]
-        span = _generated_span(generated, bases, d, seed)
+        span, basis = _generated_span(generated, bases, d, seed)
         spanned = span.rank == len(target)
         generated[d] = (
             _whole_piece(target)
             if spanned
-            else [[(c, m) for c, m in zip(row, target.monomials) if c] for row in span.rows()]
+            else [[(c, m) for c, m in zip(row, target.monomials) if c] for row in basis]
         )
         reports.append(
             GenerationReport(
@@ -330,14 +316,14 @@ def hilbert_series(w: IndexTuple, k_max: int) -> list[int]:
     ]
 
 
-def semistable_nonempty(w: IndexTuple) -> SemistableReport:
-    """Whether X(w), w in I(n, 2n), has semistable points, with the first
-    degree-one invariant as the witness.  Degree one decides: restriction
-    maps R_1(X(w)) onto R_1(X(u)) for u <= w (the basis of R_1(X(u)) is
-    part of that of R_1(X(w)), the rest vanishes), R_1(X(2, 4, ..., 2n)) holds
-    p(1, 3, ..., 2n-1) p(2, 4, ..., 2n), and X(w) has semistable points
-    exactly when w >= (2, 4, ..., 2n), the weight criterion that
+def semistable_nonempty(w: IndexTuple) -> Monomial | None:
+    """The first degree-one invariant on X(w), w in I(n, 2n): a witness
+    that X(w) has semistable points, or None when it has none.
+    Degree one decides: restriction maps R_1(X(w)) onto R_1(X(u)) for
+    u <= w (the basis of R_1(X(u)) is part of that of R_1(X(w)), the rest
+    vanishes), R_1(X(2, 4, ..., 2n)) holds p(1, 3, ..., 2n-1)
+    p(2, 4, ..., 2n), and X(w) has semistable points exactly when
+    w >= (2, 4, ..., 2n), the weight criterion that
     `minimal_semistable_w` scans.  So R_1(X(w)) != 0 for such w, and for
     any other w no invariant of positive degree is nonzero on X(w)."""
-    witness = next(iter(invariant_basis(w, 1)), None)
-    return SemistableReport(w=w, found=witness is not None, witness=witness)
+    return next(iter(invariant_basis(w, 1)), None)

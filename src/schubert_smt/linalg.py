@@ -132,7 +132,6 @@ class IntRowSpan:
     def __init__(self, width: int):
         self.width = width
         self._steps: list[tuple[int, int, list[int]]] = []
-        self._rows: list[list[int]] = []  # the vectors that became steps
 
     def add(self, vec) -> bool:
         """Insert a vector; True if the rank grew."""
@@ -140,7 +139,6 @@ class IntRowSpan:
         if step is None:
             return False
         self._steps.append(step)
-        self._rows.append(list(vec))
         return True
 
     def contains(self, vec) -> bool:
@@ -149,11 +147,6 @@ class IntRowSpan:
     @property
     def rank(self) -> int:
         return len(self._steps)
-
-    def rows(self) -> list[list[int]]:
-        """The vectors added that raised the rank, in the order added: a
-        basis of the span."""
-        return list(self._rows)
 
 
 class GaussSolver:
@@ -172,13 +165,16 @@ class GaussSolver:
 
     def __init__(self, ncols: int, rows=()):
         self.ncols = ncols
-        self.nrows = 0  # rows read so far
         # the pivot steps (q, p, tail) that `_eliminate` reduces against
         self._steps: list[tuple[int, int, list[int]]] = []
-        # (read index, multipliers) of the pivot rows and of the other rows
-        self._pivot_rows: list[tuple[int, list[int]]] = []
-        self._dependent: list[tuple[int, list[int]]] = []
+        # (multipliers, whether it became a pivot) of each row read, in order
+        self._read: list[tuple[list[int], bool]] = []
         self.extend(rows)
+
+    @property
+    def nrows(self) -> int:
+        """The number of rows read so far."""
+        return len(self._read)
 
     @property
     def rank(self) -> int:
@@ -198,12 +194,9 @@ class GaussSolver:
             if row is None:
                 break
             mults, step = _eliminate(steps, row, self.ncols)
-            if step is None:
-                self._dependent.append((self.nrows, mults))
-            else:
+            if step is not None:
                 steps.append(step)
-                self._pivot_rows.append((self.nrows, mults))
-            self.nrows += 1
+            self._read.append((mults, step is not None))
         return self.ok
 
     def solve(self, rhs) -> tuple[list[int], int] | None:
@@ -216,18 +209,15 @@ class GaussSolver:
             raise RuntimeError("solver has not reached full column rank")
         steps = self._steps
         values: list[int] = []  # the reduced right-hand sides of the pivot rows
-
-        def reduce(v, mults):
-            prev = 1
+        for i, (mults, pivot) in enumerate(self._read):
+            v, prev = rhs[i], 1
             for (_, p, _), m, u in zip(steps, mults, values):
                 v = (p * v - m * u) // prev
                 prev = p
-            return v
-
-        for i, mults in self._pivot_rows:
-            values.append(reduce(rhs[i], mults))
-        if any(reduce(rhs[i], mults) for i, mults in self._dependent):
-            return None
+            if pivot:
+                values.append(v)
+            elif v:  # the row is in the span of the pivot rows before it, its rhs is not
+                return None
         d = steps[-1][1] if steps else 1
         y: list[int] = []  # the solution on the columns after pivot t, times d
         for (q, p, tail), v in zip(reversed(steps), reversed(values)):

@@ -6,8 +6,9 @@ multisets, the row-by-row backtracker that enumeration used before it
 walked horizontal strips, the Schubert-point sampler drawn entry by
 entry, simple-reflection action on value sets, function-level rank
 computations straight from the determinant oracle, and span probes that
-straighten every product.  `recording_cells` and `grew` let a test check
-that the cells it relies on really grew.
+straighten every product and run on their own rational row span.
+`recording_cells` and `grew` let a test check that the cells it relies on
+really grew.
 """
 
 import itertools
@@ -21,7 +22,6 @@ from schubert_smt.invariant_ring import (
     invariant_basis,
     multiply_to_coordinates,
 )
-from schubert_smt.linalg import IntRowSpan
 from schubert_smt.plucker import MinorTable, random_schubert_point, sample_generator, value_at
 
 
@@ -146,6 +146,45 @@ def fraction_rank(rows):
     return rank
 
 
+class FractionRowSpan:
+    """Incremental row space over QQ by plain rational elimination;
+    independent of the package's kernel.
+
+    Each vector added is reduced against the echelon rows before it, in
+    the order they were kept; a vector left nonzero is scaled to 1 at its
+    first nonzero entry and kept.  `basis` records the vectors added that
+    raised the rank, as given, in the order added.
+    """
+
+    def __init__(self):
+        self._echelon = []  # (pivot column, reduced row with a 1 there)
+        self.basis = []
+
+    def _reduce(self, vec):
+        v = [Fraction(x) for x in vec]
+        for col, row in self._echelon:
+            if v[col]:
+                f = v[col]
+                v = [a - f * b for a, b in zip(v, row)]
+        return v
+
+    def add(self, vec):
+        v = self._reduce(vec)
+        col = next((j for j, x in enumerate(v) if x), None)
+        if col is None:
+            return False
+        self._echelon.append((col, [x / v[col] for x in v]))
+        self.basis.append(list(vec))
+        return True
+
+    def contains(self, vec):
+        return not any(self._reduce(vec))
+
+    @property
+    def rank(self):
+        return len(self.basis)
+
+
 def fraction_solve(matrix, rhs):
     """One solution of A x = rhs by plain rational Gauss-Jordan elimination,
     with free variables set to zero; None if the system is inconsistent."""
@@ -254,7 +293,7 @@ def grew(cell):
 def reference_normality_probe(w, d, seed=0):
     """`normality_probe` with every product R_a . R_b straightened."""
     target = invariant_basis(w, d)
-    span = IntRowSpan(len(target))
+    span = FractionRowSpan()
     for a in range(1, d // 2 + 1):
         b = d - a
         basis_a = invariant_basis(w, a)
@@ -304,7 +343,7 @@ def reference_generation_probe(w, k_max, seed=0):
     reports = []
     for d in range(3, k_max + 1):
         dim = len(bases[d])
-        span = IntRowSpan(dim)
+        span = FractionRowSpan()
         pieces = [(d - 1, 1)] + ([(d - 2, 2)] if d >= 4 else [])
         for a, b in pieces:
             mult = table(a, b)
@@ -315,7 +354,7 @@ def reference_generation_probe(w, k_max, seed=0):
                         if vi:
                             out = [x + vi * y for x, y in zip(out, mult[(i, j)])]
                     span.add(out)
-        generated[d] = span.rows()
+        generated[d] = span.basis
         reports.append(
             GenerationReport(
                 degree=d, dim_graded_piece=dim, dim_generated=span.rank, spanned=span.rank == dim

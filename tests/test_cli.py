@@ -259,6 +259,13 @@ class TestStraightenCommand:
         code, _, err = run_cli(capsys, ["straighten", "--input", str(path)])
         assert code == EXIT_USAGE and "error" in err
 
+    def test_n2n_without_bound_exits_2(self, tmp_path, capsys):
+        # --n2n only sets the ambient rank of --bound, so alone it is a usage error
+        path = write_doc(tmp_path, VIOLATING_DOC)
+        code, out, err = run_cli(capsys, ["straighten", "--input", path, "--n2n", "4"])
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error: ") and "--bound" in err
+
     def test_bound_shape_mismatch_exits_2(self, tmp_path, capsys):
         path = write_doc(tmp_path, VIOLATING_DOC)
         code, _, err = run_cli(
@@ -296,8 +303,9 @@ class TestStraightenCommand:
 
 
 class TestUnreadableInputAndUnwritableOutput:
-    """An input that cannot be read or decoded, or an output that cannot be
-    written, is an input error: exit 2 with "error: ..."."""
+    """An input that cannot be read, decoded or parsed for its depth, or an
+    output that cannot be written, is an input error: exit 2 with
+    "error: ..."."""
 
     @pytest.mark.parametrize(
         "case",
@@ -315,6 +323,21 @@ class TestUnreadableInputAndUnwritableOutput:
         code, _, err = run_cli(capsys, argv)
         assert code == EXIT_USAGE
         assert err.startswith("error: ") and "internal error" not in err
+
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    def test_deeply_nested_document_exits_2(self, tmp_path, capsys, monkeypatch, source):
+        # json.loads gives up on it with a RecursionError, not a JSONDecodeError
+        deep = "[" * 100_000 + "]" * 100_000
+        if source == "file":
+            path = tmp_path / "deep.json"
+            path.write_text(deep)
+            argv = ["straighten", "--input", str(path)]
+        else:
+            monkeypatch.setattr("sys.stdin", io.StringIO(deep))
+            argv = ["straighten", "--input", "-"]
+        code, _, err = run_cli(capsys, argv)
+        assert code == EXIT_USAGE
+        assert err.startswith("error: invalid JSON") and "internal error" not in err
 
     def test_undecodable_stdin_exits_2(self, capsys, monkeypatch):
         stdin = io.TextIOWrapper(io.BytesIO(b"\xff\xfe"), encoding="utf-8")

@@ -5,7 +5,7 @@ from math import comb
 
 import pytest
 
-from schubert_smt import invariant_ring, plucker
+from schubert_smt import invariant_ring, linalg, plucker
 from schubert_smt.invariant_ring import (
     BasisMismatchError,
     generation_degree_probe,
@@ -372,6 +372,15 @@ class TestSpanProbesMatchTheReference:
     def test_normality_in_degree_two(self, w):
         assert normality_probe(w, 2) == reference_normality_probe(w, 2)
 
+    def test_a_membership_fault_in_the_kernel_is_detected(self, monkeypatch):
+        # the reference runs on its own span, so a kernel that finds every
+        # vector in the span loses the witnesses only on the probe's side
+        w = distinguished_w(5, 3)
+        monkeypatch.setattr(linalg.IntRowSpan, "contains", lambda self, vec: True)
+        assert normality_probe(w, 2).cokernel_witnesses == ()
+        assert normality_probe(w, 2) != reference_normality_probe(w, 2)
+        assert len(reference_normality_probe(w, 2).cokernel_witnesses) == 2
+
     def test_generated_piece_given_by_combinations(self, straightened_products):
         # R_2 on X(w5) as the rows of a unimodular upper-triangular
         # matrix: every product but those of the last row has several
@@ -380,16 +389,17 @@ class TestSpanProbesMatchTheReference:
         bases = {d: invariant_basis(w, d) for d in (1, 2, 3)}
         rows = bases[2].monomials
         combinations = [[(1, m) for m in rows[i:]] for i in range(len(rows))]
-        unit = invariant_ring._generated_span(
+        unit, unit_basis = invariant_ring._generated_span(
             {1: invariant_ring._whole_piece(bases[1]), 2: invariant_ring._whole_piece(bases[2])},
             bases, 3, seed=0,
         )
         assert straightened_products == []
-        combined = invariant_ring._generated_span(
+        combined, combined_basis = invariant_ring._generated_span(
             {1: invariant_ring._whole_piece(bases[1]), 2: combinations}, bases, 3, seed=0
         )
         assert straightened_products
         assert combined.rank == unit.rank == len(bases[3]) == 40
+        assert fraction_rank(combined_basis) == fraction_rank(unit_basis) == 40
 
     def test_non_spanned_piece_is_carried_to_the_next_degree(self, monkeypatch):
         # no variety tried leaves a T_d short of R_d, so T_2 on X(4,5,6) is
@@ -488,27 +498,22 @@ class TestAlgebraicIndependence:
 
 class TestSemistableNonempty:
     def test_minimal_representative_has_a_degree_one_witness(self):
-        report = semistable_nonempty(distinguished_w(1, 3))
-        assert report.found
-        assert report.witness == ((1, 3, 5), (2, 4, 6))
+        assert semistable_nonempty(distinguished_w(1, 3)) == ((1, 3, 5), (2, 4, 6))
 
     def test_content_obstructed_variety_is_empty(self):
-        report = semistable_nonempty(IndexTuple((1, 2, 3), 6))
-        assert not report.found and report.witness is None
-        assert report.to_dict() == {"w": [1, 2, 3], "found": False, "witness": None}
+        assert semistable_nonempty(IndexTuple((1, 2, 3), 6)) is None
 
     def test_big_variety_at_rank_four(self):
         w = distinguished_w(5, 4)
-        report = semistable_nonempty(w)
-        assert report.found
-        assert rows_are_standard(report.witness, w.values)
-        assert monomial_content(report.witness, 8) == (1,) * 8
-        assert report.witness in build_generators(4).deg1
+        witness = semistable_nonempty(w)
+        assert rows_are_standard(witness, w.values)
+        assert monomial_content(witness, 8) == (1,) * 8
+        assert witness in build_generators(4).deg1
 
     def test_all_distinguished_representatives_are_semistable(self):
         for n in (3, 4):
             for i in range(1, 6):
-                assert semistable_nonempty(distinguished_w(i, n)).found
+                assert semistable_nonempty(distinguished_w(i, n)) is not None
 
     def test_degree_one_agrees_with_the_weight_criterion(self):
         # every w in I(n, 2n): semistable exactly when w >= (2, 4, ..., 2n),
@@ -519,7 +524,7 @@ class TestSemistableNonempty:
             found = 0
             for values in itertools.combinations(range(1, 2 * n + 1), n):
                 w = IndexTuple(values, 2 * n)
-                semistable = semistable_nonempty(w).found
+                semistable = semistable_nonempty(w) is not None
                 assert semistable == (w in hits) == leq_componentwise(minimal, w)
                 found += semistable
             assert found == len(hits) == catalan

@@ -15,7 +15,6 @@ from schubert_smt.invariant_ring import (
     GenerationReport,
     GradedPieceBasis,
     NormalityReport,
-    SemistableReport,
     invariant_basis,
 )
 from schubert_smt.lattice import IndexTuple, distinguished_w
@@ -46,11 +45,6 @@ CASES = {
         ("degree", "dim_graded_piece", "dim_generated", "spanned"),
         (3, 40, 40, True),
         (3, 40, 39, False),
-    ),
-    SemistableReport: (
-        ("w", "found", "witness"),
-        (W5, True, M1),
-        (W5, False, None),
     ),
     VerificationReport: (
         ("name", "n", "status", "details", "seed"),

@@ -1,5 +1,5 @@
 import json
-from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -28,9 +28,11 @@ from schubert_smt.verifier import (
 )
 
 
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
+
+
 def load_fixture(n):
-    ref = resources.files("schubert_smt") / "fixtures" / f"generators_n{n}.json"
-    return json.loads(ref.read_text())
+    return json.loads((FIXTURES / f"generators_n{n}.json").read_text(encoding="utf-8"))
 
 
 class TestBuildGenerators:
