@@ -323,7 +323,8 @@ def semistable_nonempty(w: IndexTuple) -> Monomial | None:
     u <= w (the basis of R_1(X(u)) is part of that of R_1(X(w)), the rest
     vanishes), R_1(X(2, 4, ..., 2n)) holds p(1, 3, ..., 2n-1)
     p(2, 4, ..., 2n), and X(w) has semistable points exactly when
-    w >= (2, 4, ..., 2n), the weight criterion that
-    `minimal_semistable_w` scans.  So R_1(X(w)) != 0 for such w, and for
-    any other w no invariant of positive degree is nonzero on X(w)."""
+    w(2 omega_n) <= 0 in dominance order (no prefix sum of its epsilon
+    coordinates is positive), that is, when w >= (2, 4, ..., 2n).  So
+    R_1(X(w)) != 0 for such w, and for any other w no invariant of
+    positive degree is nonzero on X(w)."""
     return next(iter(invariant_basis(w, 1)), None)

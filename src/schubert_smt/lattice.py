@@ -1,19 +1,12 @@
 """Index-tuple combinatorics for the Grassmannian quotient order.
 
 Minimal coset representatives are stored as strictly increasing tuples
-(the one-line notation restricted to the first r values); the full
-permutation is reconstructed with the complement in increasing order
-whenever it is needed.  Torus weights are plain integer vectors in
-epsilon coordinates, so dominance questions reduce to prefix sums and
-all arithmetic stays in ZZ.
+(the one-line notation restricted to the first r values).
 """
 
-import itertools
 from operator import lt
 
 from ._record import Record, _set
-
-WeightVector = tuple[int, ...]
 
 
 class IndexTuple(Record):
@@ -91,81 +84,3 @@ def distinguished_w(i: int, n: int) -> IndexTuple:
         5: (2 * n - 2, 2 * n - 1, 2 * n),
     }
     return IndexTuple(prefix + tails[i], 2 * n)
-
-
-def extend_to_permutation(w: IndexTuple) -> tuple[int, ...]:
-    """Minimal-length permutation whose first r values are w, rest the complement ascending."""
-    complement = tuple(v for v in range(1, w.n + 1) if v not in set(w.values))
-    return w.values + complement
-
-
-def apply_coset_to_weight(w: IndexTuple, lam) -> WeightVector:
-    """Permuted weight w.lam: coordinate i of lam lands at position sigma(i)."""
-    lam = tuple(int(c) for c in lam)
-    if len(lam) != w.n:
-        raise ValueError(f"weight has length {len(lam)}, expected {w.n}")
-    sigma = extend_to_permutation(w)
-    out = [0] * w.n
-    for i, c in enumerate(lam):
-        out[sigma[i] - 1] = c
-    return tuple(out)
-
-
-def is_dominance_nonpositive(mu) -> bool:
-    """Whether mu <= 0 in dominance order.
-
-    In type A this means every proper prefix sum of the epsilon
-    coordinates is <= 0 and the total sum is 0.
-    """
-    mu = tuple(int(c) for c in mu)
-    acc = 0
-    for c in mu[:-1]:
-        acc += c
-        if acc > 0:
-            return False
-    return acc + mu[-1] == 0
-
-
-def fundamental_weight_multiple(k: int, r: int, m: int) -> WeightVector:
-    """k times the r-th fundamental weight of SL(m), in integral epsilon coordinates.
-
-    Only defined when m divides k*r, which is exactly the descent condition.
-    """
-    if not 1 <= r <= m - 1:
-        raise ValueError(f"r={r} out of range 1..{m - 1}")
-    if (k * r) % m != 0:
-        raise ValueError(f"{k}*omega_{r} is not integral in epsilon coordinates for SL({m})")
-    shift = (k * r) // m
-    return tuple(k - shift if i < r else -shift for i in range(m))
-
-
-def line_bundle_descends(k: int, r: int, m: int) -> bool:
-    """Whether k*omega_r lies in the root lattice of SL(m), i.e. m | k*r."""
-    if not 1 <= r <= m - 1:
-        raise ValueError(f"r={r} out of range 1..{m - 1}")
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return (k * r) % m == 0
-
-
-def minimal_semistable_w(n: int) -> tuple[IndexTuple, tuple[IndexTuple, ...]]:
-    """Exhaustive scan of I(n, 2n) for the unique minimal w with w(2*omega_n) <= 0.
-
-    Returns the minimum together with the full list of representatives
-    satisfying the condition, which certifies uniqueness.  Feasible for
-    n <= 6 (at most C(12, 6) = 924 tuples).
-    """
-    if n < 2:
-        raise ValueError("need n >= 2")
-    lam = fundamental_weight_multiple(2, n, 2 * n)
-    hits = []
-    for values in itertools.combinations(range(1, 2 * n + 1), n):
-        w = IndexTuple(values, 2 * n)
-        if is_dominance_nonpositive(apply_coset_to_weight(w, lam)):
-            hits.append(w)
-    if not hits:
-        raise RuntimeError("no semistable representative found; implementation bug")
-    minima = [w for w in hits if all(leq_componentwise(w, other) for other in hits)]
-    if len(minima) != 1:
-        raise RuntimeError(f"minimum not unique ({len(minima)} found); implementation bug")
-    return minima[0], tuple(hits)

@@ -77,35 +77,41 @@ def _completion_table(shape_rows: int, r: int, n: int, bound, content) -> dict:
     d = shape_rows
     bound_vals = bound.values if bound is not None else tuple(range(n - r + 1, n + 1))
     table: dict[tuple[int, tuple[int, ...]], tuple[int, list[tuple[int, ...]]]] = {}
-
-    def completions(v: int, shape: tuple[int, ...]) -> int:
-        entry = table.get((v, shape))
-        if entry is None:
+    # a post-order walk on an explicit stack, so n is not bounded by the
+    # recursion limit: a state is entered with candidates None, pushes its
+    # candidate next states, and is filled in once they all are
+    stack = [((0, (0,) * r), None)]
+    while stack:
+        state, candidates = stack.pop()
+        if candidates is None:
+            v, shape = state
             if v == n:  # every position was filled when v passed its bound
-                entry = (1, [])
-            else:
-                # a row takes v + 1 at position j only if its entry j - 1 is
-                # already placed (rows strictly increase), and position j is
-                # full once v + 1 reaches bound[j]; the ranges are independent
-                ranges = [
-                    range(d if b <= v + 1 else s, hi + 1)
-                    for b, s, hi in zip(bound_vals, shape, (d,) + shape[:-1])
-                ]
-                size = None if target is None else sum(shape) + target[v]
-                total = 0
-                nexts = []
-                for nxt in product(*ranges):
-                    if size is None or sum(nxt) == size:
-                        count = completions(v + 1, nxt)
-                        if count:
-                            total += count
-                            nexts.append(nxt)
-                entry = (total, nexts)
-            table[(v, shape)] = entry
-        return entry[0]
-
-    completions(0, (0,) * r)
-    del completions  # the closure refers to itself: break the cycle for refcounting
+                table[state] = (1, [])
+                continue
+            # a row takes v + 1 at position j only if its entry j - 1 is
+            # already placed (rows strictly increase), and position j is
+            # full once v + 1 reaches bound[j]; the ranges are independent
+            ranges = [
+                range(d if b <= v + 1 else s, hi + 1)
+                for b, s, hi in zip(bound_vals, shape, (d,) + shape[:-1])
+            ]
+            size = None if target is None else sum(shape) + target[v]
+            candidates = [
+                (v + 1, nxt) for nxt in product(*ranges) if size is None or sum(nxt) == size
+            ]
+            stack.append((state, candidates))
+            for nxt in reversed(candidates):
+                if nxt not in table:
+                    stack.append((nxt, None))
+        else:
+            total = 0
+            nexts = []
+            for nxt in candidates:
+                count = table[nxt][0]
+                if count:
+                    total += count
+                    nexts.append(nxt[1])
+            table[state] = (total, nexts)
     return table
 
 
@@ -151,16 +157,20 @@ def enumerate_standard(
         for (v, shape), (_, nexts) in table.items()
     }
 
-    def walk(v: int, shape: tuple[int, ...]):
-        if v == n:
-            results.append(tuple(map(tuple, rows)))
-            return
-        for nxt, cells in strips[(v, shape)]:
+    # one iterator over the strips of each state on the path; the one on
+    # top places the value len(stack)
+    stack = [iter(strips[(0, (0,) * r)])]
+    while stack:
+        v = len(stack)
+        for nxt, cells in stack[-1]:
             for i, j in cells:
-                rows[i][j] = v + 1
-            walk(v + 1, nxt)
-
-    walk(0, (0,) * r)
-    del walk  # as in _completion_table
+                rows[i][j] = v
+            if v == n:
+                results.append(tuple(map(tuple, rows)))
+            else:
+                stack.append(iter(strips[(v, nxt)]))
+                break
+        else:
+            stack.pop()
     results.sort()
     return results

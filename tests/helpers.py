@@ -4,9 +4,10 @@ Everything here recomputes expected values by a route different from the
 implementation under test: brute-force enumeration over all row
 multisets, the row-by-row backtracker that enumeration used before it
 walked horizontal strips, the Schubert-point sampler drawn entry by
-entry, simple-reflection action on value sets, function-level rank
-computations straight from the determinant oracle, and span probes that
-straighten every product and run on their own rational row span.
+entry, simple-reflection action on value sets, the weight criterion for
+semistability as prefix sums, function-level rank computations straight
+from the determinant oracle, and span probes that straighten every
+product and run on their own rational row span.
 `recording_cells` and `grew` let a test check that the cells it relies on
 really grew.
 """
@@ -124,6 +125,19 @@ def apply_simple_reflection(values, i):
     """Left action of the value swap i <-> i+1 on a one-line value set."""
     swapped = [i + 1 if v == i else i if v == i + 1 else v for v in values]
     return tuple(sorted(swapped))
+
+
+def weight_criterion(w):
+    """Whether w(2 omega_n) <= 0 in dominance order, for w in I(n, 2n).
+
+    In epsilon coordinates 2 omega_n minus its mean is (1, ..., 1, -1,
+    ..., -1), n of each, and w puts the +1s at w_1, ..., w_n and the -1s
+    at the other values.  The total is 0, so w(2 omega_n) <= 0 exactly
+    when no prefix sum over the values 1..t is positive.
+    """
+    ups = set(w.values)
+    steps = (1 if t in ups else -1 for t in range(1, w.n + 1))
+    return all(s <= 0 for s in itertools.accumulate(steps))
 
 
 def fraction_rank(rows):

@@ -16,7 +16,7 @@ from schubert_smt.invariant_ring import (
     invariant_basis,
     normality_probe,
 )
-from schubert_smt.lattice import distinguished_w, leq_componentwise, minimal_semistable_w, top_element
+from schubert_smt.lattice import IndexTuple, distinguished_w, leq_componentwise, top_element
 from schubert_smt.plucker import (
     PluckerPolynomial,
     _interpolation_cell,
@@ -33,6 +33,8 @@ from schubert_smt.verifier import (
     verify_exchange_identities,
     verify_product_relation,
 )
+
+from helpers import weight_criterion
 
 
 @contextmanager
@@ -134,9 +136,13 @@ def test_criterion_06_exchange_identity_suite():
 def test_criterion_07_minimal_semistable():
     with criterion(7, "unique minimal semistable representative, n=2..5", 1.0):
         for n in (2, 3, 4, 5):
-            w, hits = minimal_semistable_w(n)
-            assert w.values == tuple(range(2, 2 * n + 1, 2))
-            assert all(leq_componentwise(w, h) for h in hits)
+            elements = [
+                IndexTuple(values, 2 * n)
+                for values in itertools.combinations(range(1, 2 * n + 1), n)
+            ]
+            hits = [w for w in elements if weight_criterion(w)]
+            minima = [w for w in hits if all(leq_componentwise(w, h) for h in hits)]
+            assert [w.values for w in minima] == [tuple(range(2, 2 * n + 1, 2))]
 
 
 def test_criterion_08_rank_two_cases():

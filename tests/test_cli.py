@@ -301,6 +301,12 @@ class TestStraightenCommand:
         code, out, _ = run_cli(capsys, ["straighten", "--input", path])
         assert code == EXIT_OK and out == "- p[1,2]p[3,4] + p[1,3]p[2,4]\n" and len(rendered) == 1
 
+    def test_many_values(self, tmp_path, capsys):
+        # a cell over 1200 values straightens as the same cell over 4 does
+        path = write_doc(tmp_path, {**VIOLATING_DOC, "n": 1200})
+        code, out, _ = run_cli(capsys, ["straighten", "--input", path])
+        assert code == EXIT_OK and out == "- p[1,2]p[3,4] + p[1,3]p[2,4]\n"
+
 
 class TestUnreadableInputAndUnwritableOutput:
     """An input that cannot be read, decoded or parsed for its depth, or an
@@ -383,6 +389,10 @@ class TestBasisCommand:
             "[" + " | ".join(",".join(map(str, row)) for row in monomial) + "]"
             for monomial in rows
         ]
+
+    def test_many_values(self, capsys):
+        code, out, _ = run_cli(capsys, ["basis", "--w", "1,3", "--n2n", "1200", "--all", "--k", "1"])
+        assert code == EXIT_OK and out.splitlines()[0] == "count: 3"
 
     def test_bad_tuple_exits_2(self, capsys):
         code, _, err = run_cli(capsys, ["basis", "--w", "3,1", "--k", "1"])

@@ -19,7 +19,6 @@ from schubert_smt.lattice import (
     IndexTuple,
     distinguished_w,
     leq_componentwise,
-    minimal_semistable_w,
     top_element,
 )
 from schubert_smt.linalg import IntRowSpan
@@ -35,6 +34,7 @@ from helpers import (
     recording_cells,
     reference_generation_probe,
     reference_normality_probe,
+    weight_criterion,
 )
 
 HEAVY = bool(os.environ.get("SCHUBERT_SMT_HEAVY"))
@@ -516,15 +516,21 @@ class TestSemistableNonempty:
                 assert semistable_nonempty(distinguished_w(i, n)) is not None
 
     def test_degree_one_agrees_with_the_weight_criterion(self):
-        # every w in I(n, 2n): semistable exactly when w >= (2, 4, ..., 2n),
-        # and the semistable elements are counted by the Catalan numbers
+        # every w in I(n, 2n): semistable exactly when the weight criterion
+        # holds, exactly when w >= (2, 4, ..., 2n), the criterion's unique
+        # componentwise minimum; the semistable elements are counted by
+        # the Catalan numbers
         for n, catalan in zip(range(2, 7), (2, 5, 14, 42, 132)):
-            minimal, hits = minimal_semistable_w(n)
-            assert minimal.values == tuple(range(2, 2 * n + 1, 2))
+            elements = [
+                IndexTuple(values, 2 * n)
+                for values in itertools.combinations(range(1, 2 * n + 1), n)
+            ]
+            hits = [w for w in elements if weight_criterion(w)]
+            minima = [w for w in hits if all(leq_componentwise(w, h) for h in hits)]
+            assert [w.values for w in minima] == [tuple(range(2, 2 * n + 1, 2))]
             found = 0
-            for values in itertools.combinations(range(1, 2 * n + 1), n):
-                w = IndexTuple(values, 2 * n)
+            for w in elements:
                 semistable = semistable_nonempty(w) is not None
-                assert semistable == (w in hits) == leq_componentwise(minimal, w)
+                assert semistable == (w in hits) == leq_componentwise(minima[0], w)
                 found += semistable
             assert found == len(hits) == catalan

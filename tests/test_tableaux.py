@@ -251,9 +251,24 @@ class TestEnumerateStandard:
         with pytest.raises(ValueError):
             count_standard(2, 2, 4, bound=IndexTuple((1, 2, 3), 6))
 
+    @pytest.mark.parametrize("depth", [0, 500])
+    def test_many_values_do_not_reach_the_recursion_limit(self, depth):
+        # both walks keep their own stacks, so a cell over n = 1200 values
+        # counts and enumerates as the same cell over 4 values does, also
+        # when the caller has 500 frames in use
+        def cell(n, frames=depth):
+            if frames:
+                return cell(n, frames - 1)
+            cont = (1, 1, 1, 1) + (0,) * (n - 4)
+            return count_standard(2, 2, n, content=cont), enumerate_standard(2, 2, n, content=cont)
+
+        counted, listed = cell(1200)
+        assert counted == len(listed)
+        assert (counted, listed) == cell(4) == (2, [((1, 2), (3, 4)), ((1, 3), (2, 4))])
+
     def test_calls_leave_no_reference_cycles(self):
-        # the recursive walks drop their self-references before returning,
-        # so a call's tables are freed by reference counting alone
+        # the walks hold no references to themselves, so a call's tables
+        # are freed by reference counting alone
         w = distinguished_w(5, 4)
         calls = [
             lambda: enumerate_standard(2, 4, 8, bound=w, content=(1,) * 8),
