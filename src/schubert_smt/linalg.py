@@ -3,9 +3,9 @@
 The determinant is a cofactor formula up to 5 x 5, the size of every
 Pluecker minor at ranks 3 to 5, and a fraction-free (Bareiss)
 elimination above.  One function, `_eliminate`, applies the same
-Bareiss update to rows read one at a time: the solver runs on it, stops
-reading at full column rank and takes more rows without starting over,
-and so do rank and membership (`IntRowSpan`).  Every intermediate value
+Bareiss update to rows read one at a time: the solver runs on it and
+stops reading its rows at full column rank, and so do rank and
+membership (`IntRowSpan`).  Every intermediate value
 is an integer, and every division is exact.
 """
 
@@ -151,16 +151,16 @@ class IntRowSpan:
 
 class GaussSolver:
     """Fraction-free (Bareiss) elimination of integer rows of width B, read
-    one at a time and only until they have full column rank B, then
-    replayed to solve A x = v for many right-hand sides, A being the rows
-    read.
+    one at a time from an iterator and only until they have full column
+    rank B, then replayed to solve A x = v for many right-hand sides, A
+    being the rows read.
 
     Each row read is reduced once by `_eliminate`, against the pivot
     steps before it in their order.  A row left nonzero becomes the next
     pivot step; a row left zero lies in the span of the pivot rows, and
-    `solve` checks that its right-hand side does too.  A row is kept as
-    its multipliers, so rows read later (`extend`) join the same
-    elimination.  `ok` is True once the rank is B.
+    `solve` checks that its right-hand side does too.  The rows are read
+    lazily, so a caller that computes each row on demand computes none
+    past full rank; if the iterator runs out first, `ok` stays False.
     """
 
     def __init__(self, ncols: int, rows=()):
@@ -169,11 +169,16 @@ class GaussSolver:
         self._steps: list[tuple[int, int, list[int]]] = []
         # (multipliers, whether it became a pivot) of each row read, in order
         self._read: list[tuple[list[int], bool]] = []
-        self.extend(rows)
+        rows = iter(rows)
+        while not self.ok and (row := next(rows, None)) is not None:
+            mults, step = _eliminate(self._steps, row, ncols)
+            if step is not None:
+                self._steps.append(step)
+            self._read.append((mults, step is not None))
 
     @property
     def nrows(self) -> int:
-        """The number of rows read so far."""
+        """The number of rows read."""
         return len(self._read)
 
     @property
@@ -184,20 +189,6 @@ class GaussSolver:
     @property
     def ok(self) -> bool:
         return len(self._steps) == self.ncols
-
-    def extend(self, rows) -> bool:
-        """Read rows until the rank is B or the rows run out; returns `ok`."""
-        steps = self._steps
-        rows = iter(rows)
-        while len(steps) < self.ncols:
-            row = next(rows, None)
-            if row is None:
-                break
-            mults, step = _eliminate(steps, row, self.ncols)
-            if step is not None:
-                steps.append(step)
-            self._read.append((mults, step is not None))
-        return self.ok
 
     def solve(self, rhs) -> tuple[list[int], int] | None:
         """(y, D) with x = y / D the solution of A x = rhs, rhs[i] being the

@@ -22,6 +22,7 @@ deliberately avoided.
 import random
 from bisect import bisect_left
 from functools import lru_cache
+from itertools import count, islice
 
 from ._record import Record
 from .lattice import IndexTuple, top_element
@@ -32,14 +33,14 @@ Matrix = tuple[tuple[int, ...], ...]
 
 GENERIC_ENTRY_BOUND = 5     # generic evaluation points have entries in [-5, 5]
 TRIANGULAR_ENTRY_BOUND = 3  # strictly-upper entries of Borel factors in [-3, 3]
-EXTRA_SAMPLES = 8           # a cell samples B + this many points, then grows by as many
+EXTRA_SAMPLES = 8           # a cell keeps at least B + this many points
 
 
 class RankDeficientError(RuntimeError):
     """The evaluation matrix of a cell stayed short of full column rank B
-    at its cap of 8 (B + EXTRA_SAMPLES) sample points.  The standard
-    basis is linearly independent on the variety, so this signals a bug
-    or a degenerate point sampler."""
+    when it had read its cap of 8 (B + EXTRA_SAMPLES) sample points.  The
+    standard basis is linearly independent on the variety, so this
+    signals a bug or a degenerate point sampler."""
 
 
 class StraighteningError(RuntimeError):
@@ -353,7 +354,7 @@ class _Cell(Record):
 
 
 # The stream and cell caches hold one operation's work: no verify, probe
-# or straighten call measured uses more than one stream or 3 cells, and a
+# or straighten call measured uses more than two streams or 3 cells, and a
 # cell keeps its own points alive.  Older seeds' streams and cells leave soon.
 @lru_cache(maxsize=16)
 def _stream(bound: IndexTuple, seed) -> tuple[random.Random, list[MinorTable]]:
@@ -362,13 +363,14 @@ def _stream(bound: IndexTuple, seed) -> tuple[random.Random, list[MinorTable]]:
     return sample_generator(bound, seed), []
 
 
-def _sample(bound: IndexTuple, seed, count: int) -> tuple[MinorTable, ...]:
-    """The first `count` points of the (bound, seed) stream, drawing the
-    ones not drawn yet."""
-    rng, points = _stream(bound, seed)
-    while len(points) < count:
-        points.append(MinorTable(random_schubert_point(bound, rng)))
-    return tuple(points[:count])
+def sample_points(bound: IndexTuple, seed):
+    """The points of the (bound, seed) sample stream in order, each drawn
+    on first demand; every reader of one stream gets the same objects."""
+    rng, drawn = _stream(bound, seed)
+    for i in count():
+        if i == len(drawn):
+            drawn.append(MinorTable(random_schubert_point(bound, rng)))
+        yield drawn[i]
 
 
 @lru_cache(maxsize=256)
@@ -379,35 +381,43 @@ def _standard_basis(bound: IndexTuple, content: tuple[int, ...]) -> tuple[Monomi
     return tuple(enumerate_standard(degree, bound.r, bound.n, bound=bound, content=content))
 
 
+def _cell_points(bound: IndexTuple, content: tuple[int, ...], seed):
+    """The points one weight cell of X(bound) reads, in stream order.
+
+    An invariant cell (n = 2r, every value k times) skips the points at
+    which the first degree-one invariant f of the bound vanishes, as every
+    invariant does at an unstable point; f^k is a standard monomial of the
+    cell, so no row it reads is zero.  Other cells read the plain stream.
+    """
+    points = sample_points(bound, seed)
+    if 2 * bound.r == bound.n and len(set(content)) == 1:
+        first = _standard_basis(bound, (1,) * bound.n)
+        if first:
+            return (m for m in points if monomial_value(first[0], m))
+    return points
+
+
 @lru_cache(maxsize=16)
 def _interpolation_cell(bound: IndexTuple, content: tuple[int, ...], seed) -> _Cell:
     """The sample points of one weight cell and its solver.
 
-    Draws B + EXTRA_SAMPLES points, then EXTRA_SAMPLES more at a time
-    until the solver's rows have full column rank B, up to a cap of
-    8 (B + EXTRA_SAMPLES) points.  A point's row of basis values is
-    computed only if the solver reads it, and it reads none past full rank.
+    The solver reads the rows of basis values at the cell's points, each
+    row computed on demand, until they have full column rank B; at its
+    cap of 8 (B + EXTRA_SAMPLES) points read the cell raises
+    `RankDeficientError`.  The cell keeps the points read and at least
+    its first B + EXTRA_SAMPLES; the back-check alone reads the others.
     """
     basis = _standard_basis(bound, content)
-
-    def rows(points):
-        return ([monomial_value(b, m) for b in basis] for m in points)
-
-    count = len(basis) + EXTRA_SAMPLES
-    cap = 8 * count
-    points = _sample(bound, seed, count)
-    solver = GaussSolver(len(basis), rows(points))
-    while not solver.ok:
-        if count >= cap:
-            raise RankDeficientError(
-                f"rank {solver.rank} < B={len(basis)} at {count} sample points "
-                f"(the cap) in the (degree={sum(content) // bound.r}, content={content}) cell"
-            )
-        count = min(count + EXTRA_SAMPLES, cap)
-        grown = _sample(bound, seed, count)
-        solver.extend(rows(grown[len(points):]))
-        points = grown
-    return _Cell(basis=basis, points=points, solver=solver)
+    kept = len(basis) + EXTRA_SAMPLES
+    rows = ([monomial_value(b, m) for b in basis] for m in _cell_points(bound, content, seed))
+    solver = GaussSolver(len(basis), islice(rows, 8 * kept))
+    if not solver.ok:
+        raise RankDeficientError(
+            f"rank {solver.rank} < B={len(basis)} at {solver.nrows} sample points read "
+            f"(the cap) in the (degree={sum(content) // bound.r}, content={content}) cell"
+        )
+    points = islice(_cell_points(bound, content, seed), max(solver.nrows, kept))
+    return _Cell(basis=basis, points=tuple(points), solver=solver)
 
 
 def _straighten_component(

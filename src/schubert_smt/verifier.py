@@ -7,6 +7,7 @@ global sign per identity, which is recorded rather than silently fixed;
 everything else is compared on the nose.
 """
 
+from itertools import islice
 from math import comb
 
 from . import CASE_NAMES
@@ -14,12 +15,10 @@ from ._record import Record
 from .invariant_ring import hilbert_series, normality_probe
 from .lattice import IndexTuple, distinguished_w, top_element
 from .plucker import (
-    MinorTable,
     PluckerPolynomial,
     plucker_relation,
-    random_schubert_point,
     restrict,
-    sample_generator,
+    sample_points,
     straighten,
     value_at,
 )
@@ -230,8 +229,7 @@ def verify_product_relation(n: int, seed: int = 0) -> VerificationReport:
     rhs = x[0] * x[3] - y[1] - y[0] + x[4] * (x[0] - x[1] - x[2] + x[3] - x[4])
     difference = lhs - rhs
     residual = straighten(difference, w5, seed=seed)
-    rng = sample_generator(w5, f"{seed}:relation")
-    points = [MinorTable(random_schubert_point(w5, rng)) for _ in range(100)]
+    points = list(islice(sample_points(w5, f"{seed}:relation"), 100))
     # evaluation is linear, so lhs and rhs agree at a point iff their
     # difference vanishes there; one evaluation computes each minor once
     eval_ok = all(value_at(difference, m) == 0 for m in points)

@@ -9,9 +9,10 @@ semistability as prefix sums, function-level rank computations straight
 from the determinant oracle, and span probes that straighten every
 product and run on their own rational row span.
 `recording_cells` and `grew` let a test check that the cells it relies on
-really grew.
+really grew, and `cell_stream` says which drawn points a cell reads.
 """
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -300,8 +301,28 @@ def recording_cells(monkeypatch):
 
 
 def grew(cell):
-    """Whether a cell drew more than its first B + EXTRA_SAMPLES points."""
-    return len(cell.points) > len(cell.basis) + plucker.EXTRA_SAMPLES
+    """Whether a cell's solver read more than B + EXTRA_SAMPLES points."""
+    return cell.solver.nrows > len(cell.basis) + plucker.EXTRA_SAMPLES
+
+
+@functools.lru_cache(maxsize=None)
+def first_degree_one_invariant(bound):
+    """The first standard monomial of content (1, ..., 1) below the bound,
+    by brute force, or None if there is none."""
+    first = brute_force_standard(2, bound.r, bound.n, bound.values, (1,) * bound.n)
+    return first[0] if first else None
+
+
+def cell_stream(bound, content, seed):
+    """The points of the (bound, seed) stream drawn so far that a cell of
+    this content reads: all of them, or for an invariant cell (n = 2r and
+    every value equally often) of a bound with a degree-one invariant only
+    those at which the first one is nonzero."""
+    drawn = plucker._stream(bound, seed)[1]
+    first = first_degree_one_invariant(bound) if 2 * bound.r == bound.n else None
+    if first is None or len(set(content)) != 1:
+        return list(drawn)
+    return [m for m in drawn if m[first[0]] * m[first[1]]]
 
 
 def reference_normality_probe(w, d, seed=0):

@@ -42,7 +42,7 @@ CALLS = {
     "probe_generation_456_k4": [
         "probe", "--w", "4,5,6", "--n2n", "6", "--mode", "generation", "--k-max", "4", "--json",
     ],
-    # the B = 112 cell grows from 120 to 128 points
+    # the B = 112 cell reads 117 points and keeps 120
     "probe_generation_3578_k3": [
         "probe", "--w", "3,5,7,8", "--mode", "generation", "--k-max", "3", "--json",
     ],

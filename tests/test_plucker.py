@@ -27,6 +27,8 @@ from schubert_smt.plucker import (
 from schubert_smt.tableaux import monomial_content, rows_are_standard
 
 from helpers import (
+    cell_stream,
+    first_degree_one_invariant,
     fraction_det,
     grew,
     leibniz_det,
@@ -349,8 +351,8 @@ class TestStraighten:
         assert straighten(f) == f
 
     def test_rank_deficiency_is_diagnosable(self, monkeypatch):
-        # The same point at every draw: the sample never reaches rank B = 2,
-        # so the cell grows to its cap of 8 (B + 8) points and names the rank.
+        # The same point at every draw: the rows never reach rank B = 2, so
+        # the cell reads its cap of 8 (B + 8) points and names the rank.
         fixed = tuple(zip(*random_point(2, 4, "fixed")))
         monkeypatch.setattr(plucker, "random_schubert_point", lambda w, rng: fixed)
         caches = (plucker._interpolation_cell, plucker._stream)
@@ -364,31 +366,32 @@ class TestStraighten:
                 cache.cache_clear()
         message = str(err.value)
         assert "(degree=2, content=(1, 1, 1, 1)) cell" in message
-        assert "rank 1 < B=2 at 80 sample points" in message
+        assert "rank 1 < B=2 at 80 sample points read (the cap)" in message
+
+    # The cell of this content on X(w5(6)), which is not invariant, is
+    # rank-deficient at its first B + 8 = 18 points at seed 0 (B = 10).
+    SHORT_CELL = (distinguished_w(5, 6), (2, 1, 1, 1, 1, 0, 1, 1, 1, 1, 1, 1), 0)
 
     def test_short_sample_grows_to_full_rank(self):
-        # the degree-4 cell of the rank-five lemma at this seed is
-        # rank-deficient at B + 8 = 24 points; 8 more from the same
-        # stream make it full rank
-        w = distinguished_w(5, 5)
-        seed = 2
+        # the solver reads one more point from the same stream and reaches
+        # rank B; the cell keeps the 19 points read
+        w, _, seed = self.SHORT_CELL
         plucker._interpolation_cell.cache_clear()
-        cell = plucker._interpolation_cell(w, (2,) * 10, seed)
+        cell = plucker._interpolation_cell(*self.SHORT_CELL)
         plucker._interpolation_cell.cache_clear()
         size = len(cell.basis)
-        assert size == 16 and len(cell.points) == size + 2 * plucker.EXTRA_SAMPLES
-        assert cell.solver.ok
+        assert size == 10 and cell.solver.ok and grew(cell)
+        assert len(cell.points) == cell.solver.nrows == size + plucker.EXTRA_SAMPLES + 1
         stream = sample_generator(w, seed)
         for point in cell.points:
             assert point.columns == random_schubert_point(w, stream)
         matrix = [[plucker.monomial_value(b, m) for b in cell.basis] for m in cell.points]
         assert not GaussSolver(size, matrix[:size + plucker.EXTRA_SAMPLES]).ok
-        assert cell.solver.nrows > size + plucker.EXTRA_SAMPLES
 
     def test_growth_extends_one_solver_and_evaluates_each_row_once(self, monkeypatch):
-        # the cell above reads the rows of its 8 new points into the
-        # solver that read its first 24, and computes the basis values at
-        # a point once, and only at the points whose rows the solver reads
+        # the cell above reads the row of its 19th point into the solver
+        # that read its first 18, and computes the basis values at a point
+        # once, and only at the points whose rows the solver reads
         solvers = []
         evaluated = collections.Counter()  # basis values computed per point
         value = plucker.monomial_value
@@ -400,7 +403,7 @@ class TestStraighten:
         )
         plucker._interpolation_cell.cache_clear()
         try:
-            cell = plucker._interpolation_cell(distinguished_w(5, 5), (2,) * 10, 2)
+            cell = plucker._interpolation_cell(*self.SHORT_CELL)
         finally:
             plucker._interpolation_cell.cache_clear()
         assert grew(cell) and solvers == [cell.solver]
@@ -438,30 +441,29 @@ class TestStraighten:
 
     def test_inconsistent_system_fails_at_once(self, monkeypatch):
         # without ((1, 3), (2, 4)) the basis cannot express p14 p23, and
-        # more points cannot change that
+        # more points cannot change that: the B = 1 cell reads one point
+        # and keeps its first B + 8
         original = plucker._standard_basis
         monkeypatch.setattr(plucker, "_standard_basis", lambda *args: original(*args)[:-1])
-        sampled = []
-        point = plucker.random_schubert_point
-        monkeypatch.setattr(
-            plucker, "random_schubert_point", lambda *args: sampled.append(args) or point(*args)
-        )
         caches = (plucker._interpolation_cell, plucker._stream)
         for cache in caches:
             cache.cache_clear()
+        cells = recording_cells(monkeypatch)
         try:
             with pytest.raises(StraighteningError, match="inconsistent"):
                 straighten(PluckerPolynomial.monomial(((1, 4), (2, 3)), 4), seed=1)
         finally:
             for cache in caches:
                 cache.cache_clear()
-        assert len(sampled) == 1 + plucker.EXTRA_SAMPLES
+        (cell,) = cells
+        assert cell.solver.nrows == 1 and len(cell.points) == 1 + plucker.EXTRA_SAMPLES
 
     @pytest.mark.parametrize("bound", [None, distinguished_w(5, 3)])
     def test_two_content_polynomial_samples_each_point_once(self, monkeypatch, bound):
-        # both weight cells take their points from one seeded stream, so
-        # the smaller cell's points are the first points of the larger
-        # and each is drawn once; without a bound they sample X(top)
+        # both weight cells take their points from one seeded stream, and
+        # each point is drawn once: the cell of the invariant content reads
+        # the points at which the first degree-one invariant is nonzero,
+        # the other cell all of them; without a bound they sample X(top)
         if bound is None:
             f = PluckerPolynomial.monomial(((1, 4), (2, 3)), 4) + PluckerPolynomial.monomial(
                 ((1, 4), (2, 4)), 4
@@ -472,8 +474,7 @@ class TestStraighten:
             )
         target = bound if bound is not None else top_element(f.r, f.n)
         contents = {monomial_content(rows, f.n) for rows in f.terms}
-        assert len(contents) == 2
-        sizes = [len(plucker._standard_basis(target, c)) for c in contents]
+        assert sorted(len(set(c)) == 1 for c in contents) == [False, True]
         streams = []
         original = plucker.random_schubert_point
 
@@ -489,15 +490,20 @@ class TestStraighten:
         cells = recording_cells(monkeypatch)
         try:
             g = straighten(f, bound, seed=5)
+            drawn = plucker._stream(target, 5)[1]
+            reads = [cell_stream(target, monomial_content(c.basis[0], f.n), 5) for c in cells]
         finally:
             for cache in caches:
                 cache.cache_clear()
         assert not g.is_zero()
-        assert len(streams) == max(sizes) + plucker.EXTRA_SAMPLES
+        assert len(streams) == len(drawn)
         assert all(rng is streams[0] for rng in streams)
-        small, large = sorted((cell.points for cell in cells), key=len)
-        assert len(small) < len(large)
-        assert all(p is q for p, q in zip(small, large))
+        assert len(cells) == 2
+        for cell, read in zip(cells, reads):
+            assert len(cell.points) <= len(read)
+            assert all(p is q for p, q in zip(cell.points, read))
+        # no point is drawn past the last point a cell keeps
+        assert any(cell.points[-1] is drawn[-1] for cell in cells)
 
     def test_unbounded_and_top_bounded_calls_share_one_cell(self):
         # without a bound straighten works on X(top), so the explicit top
@@ -678,54 +684,61 @@ class TestSampleStream:
     @PROPERTY
     @given(nonstandard_below(), st.integers(0, 2**32), st.integers(0, 2**32))
     def test_output_is_free_of_the_seed_and_growth_keeps_the_points(self, f_w, a, b):
-        # Seed a's cells are refused at their first B + 8 points, as if that
-        # sample were short, so every one of them grows; the expansion is
-        # that of seed b all the same, and each grown cell's first B + 8
-        # points are the objects it held before it grew.
+        # Seed a's solvers refuse full rank until they have read more than
+        # B + 8 rows, as if the first B + 8 points were short, so every cell
+        # grows; the expansion is that of seed b all the same, and each
+        # grown cell keeps the points it read, the first ones of its stream.
         assume(a != b)
         f, w = f_w
-        builds = []  # the samples each cell build takes, in order
-        build, sample = plucker._interpolation_cell, plucker._sample
-
-        def recording_build(*args):
-            builds.append([])
-            return build(*args)
-
-        def recording_sample(*args):
-            builds[-1].append(sample(*args))
-            return builds[-1][-1]
 
         class Refusing(GaussSolver):
-            # short of full rank after the rows of the first B + 8 points,
-            # whatever they are
-            batches = 0
-
-            def extend(self, rows):
-                self.batches += 1
-                return super().extend(rows)
-
+            # short of full rank until it has read B + 9 rows, whatever they are
             @property
             def ok(self):
-                return super().ok and self.batches > 1
+                return super().ok and self.nrows > self.ncols + plucker.EXTRA_SAMPLES
 
-        caches = (build, plucker._stream)
+        caches = (plucker._interpolation_cell, plucker._stream)
         for cache in caches:
             cache.cache_clear()
         try:
             with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(plucker, "_interpolation_cell", recording_build)
-                patch.setattr(plucker, "_sample", recording_sample)
+                cells = recording_cells(patch)
                 patch.setattr(plucker, "GaussSolver", Refusing)
                 grown = straighten(f, w, seed=a)
+                reads = [cell_stream(w, monomial_content(c.basis[0], w.n), a) for c in cells]
             expected = straighten(f, w, seed=b)
         finally:
             for cache in caches:
                 cache.cache_clear()
         assert grown == expected
-        assert builds
-        for samples in builds:
-            assert len(samples) >= 2
-            for before, after in zip(samples, samples[1:]):
-                assert len(after) == len(before) + plucker.EXTRA_SAMPLES
-                assert all(x is y for x, y in zip(before, after))
+        assert cells
+        for cell, read in zip(cells, reads):
+            assert grew(cell) and len(cell.points) == cell.solver.nrows
+            assert all(x is y for x, y in zip(cell.points, read))
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_invariant_cells_skip_points_where_the_first_invariant_vanishes(self, n):
+        # the R_1 and R_2 cells of X(w5(n)) read, in stream order, the
+        # points at which the first degree-one invariant is nonzero; a cell
+        # of another content reads the first points of the plain stream
+        w = distinguished_w(5, n)
+        first = first_degree_one_invariant(w)
+        contents = [(1,) * w.n, (2,) * w.n, (2, 0) + (1,) * (w.n - 2)]
+        caches = (plucker._interpolation_cell, plucker._stream)
+        for seed in range(5):
+            for cache in caches:
+                cache.cache_clear()
+            try:
+                for content in contents:
+                    cell = plucker._interpolation_cell(w, content, seed)
+                    read = cell_stream(w, content, seed)
+                    assert cell.basis and len(cell.points) <= len(read)
+                    assert all(p is q for p, q in zip(cell.points, read))
+                    if content != contents[-1]:
+                        assert all(plucker.monomial_value(first, m) for m in cell.points)
+                drawn = plucker._stream(w, seed)[1]
+                assert len(cell_stream(w, contents[0], seed)) < len(drawn)
+            finally:
+                for cache in caches:
+                    cache.cache_clear()
 

@@ -217,8 +217,8 @@ class TestRunCases:
 
     @pytest.mark.parametrize("n", [5, 6, 7, 8])
     def test_all_cases_pass_on_twenty_seeds(self, n):
-        # no answer may rest on a lucky sample: cells whose first B + 8
-        # points are rank-deficient grow until they reach rank B
+        # no answer may rest on a lucky sample: a cell reads points of its
+        # stream until its rows reach rank B
         for seed in range(1, 21):
             assert all(r.passed for r in run_cases("all", n, seed=seed)), seed
 
@@ -227,8 +227,9 @@ class TestRunCases:
         # the cases share the cell, stream and basis caches; run in order,
         # no two of them can miss on the same key and both build its value,
         # and nothing is evicted and built again.  At n = 7 one call builds
-        # 2 cells on one stream of 40 points, so the cache bounds must hold
-        # a whole call.
+        # 2 cells on one stream of 51 points and draws the lemma's 100
+        # points from a second stream, so the cache bounds must hold a
+        # whole call.
         caches = (plucker._interpolation_cell, plucker._stream, plucker._standard_basis)
         for cache in caches:
             cache.cache_clear()
